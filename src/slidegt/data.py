@@ -102,11 +102,6 @@ class Dataset:
     folds: np.ndarray  # fold id per sample
     spec: SyntheticSpec
 
-    def fold_split(self, fold):
-        test = np.nonzero(self.folds == fold)[0]
-        train = np.nonzero(self.folds != fold)[0]
-        return train, test
-
 
 def stage_label(ratio, threshold):
     """Late stage iff the tumor ratio strictly exceeds the threshold."""

@@ -1,6 +1,6 @@
-"""Binary file formats: graphs, datasets, checkpoints, embedding dumps.
+"""Binary file formats: datasets, checkpoints, embedding dumps.
 
-All integers are little-endian.  Grid files ("MGT1") carry the occupancy
+All integers are little-endian.  Grid blobs ("MGT1") carry the occupancy
 bitmap (row-major cells, LSB-first within each byte) and float32 features per
 occupied cell.  Checkpoints ("MGTC") and embedding dumps ("MGTE") share one
 container layout: a JSON header followed by length-prefixed named float64
@@ -22,7 +22,7 @@ import struct
 import numpy as np
 
 from .data import Dataset, Sample, SyntheticSpec
-from .errors import CheckpointError, ParseError
+from .errors import CheckpointError, ConfigError, ParseError
 from .graph import FeatureGrid
 
 GRID_MAGIC = b"MGT1"
@@ -126,16 +126,6 @@ def grid_from_bytes(buf):
                        occupancy=cells.reshape(rows, cols), features=features)
 
 
-def save_grid(grid, path):
-    with open(path, "wb") as fh:
-        fh.write(grid_to_bytes(grid))
-
-
-def load_grid(path):
-    with open(path, "rb") as fh:
-        return grid_from_bytes(fh.read())
-
-
 # -------------------------------------------------- named-blob containers
 
 
@@ -222,6 +212,8 @@ def load_checkpoint(path):
         if blob.shape != param.data.shape:
             raise CheckpointError(
                 f"parameter {name!r} has shape {blob.shape}, expected {param.data.shape}")
+        if not np.isfinite(blob).all():
+            raise CheckpointError(f"parameter {name!r} holds non-finite values")
         param.data[...] = blob
     return model
 
@@ -270,6 +262,23 @@ def save_dataset(dataset, path):
         fh.write(bytes(out))
 
 
+def _check_sample_meta(meta, spec, offset):
+    """Reject header sample entries that would load as wrong labels or folds."""
+    if not isinstance(meta, list) or not all(isinstance(m, dict) for m in meta):
+        raise ParseError("dataset header 'samples' is not a list of objects", offset=offset)
+    limits = {"id": np.inf, "type": 2, "stage": 2, "fold": spec.folds}
+    ids = set()
+    for i, m in enumerate(meta):
+        for key, hi in limits.items():
+            v = m.get(key)
+            if type(v) is not int or not 0 <= v < hi:
+                raise ParseError(f"header sample {i} needs an integer {key!r} in "
+                                 f"[0, {hi}), got {v!r}", offset=offset)
+        if m["id"] in ids:
+            raise ParseError(f"header sample {i} repeats sample id {m['id']}", offset=offset)
+        ids.add(m["id"])
+
+
 def load_dataset(path):
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
@@ -285,9 +294,11 @@ def load_dataset(path):
                          offset=header_at)
     try:
         spec = SyntheticSpec.from_dict(header["spec"])
+        spec.validate()
         meta = header["samples"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise ParseError(f"bad dataset header: {exc}", offset=header_at) from None
+    _check_sample_meta(meta, spec, header_at)
     count_at, count = r.pos, r.u32("sample count")
     if count != len(meta):
         raise ParseError(
@@ -315,13 +326,13 @@ def load_dataset(path):
         ratio = float(mask.sum()) / n
         m = meta[i]
         samples.append(Sample(
-            sample_id=int(m["id"]),
+            sample_id=m["id"],
             grid=grid,
-            label_type=int(m["type"]),
-            label_stage=int(m["stage"]),
+            label_type=m["type"],
+            label_stage=m["stage"],
             tumor_mask=mask,
             tumor_ratio=ratio,
         ))
-        folds[i] = int(m["fold"])
+        folds[i] = m["fold"]
     r.expect_end()
     return Dataset(samples=samples, folds=folds, spec=spec)

@@ -21,12 +21,12 @@ class GcnStack:
         self.weights = [glorot(rng, dim, dim) for _ in range(depth)]
 
     def __call__(self, h, norm_adj):
-        """Propagate node features; h is (n, dim), norm_adj is (n, n)."""
+        """Propagate node features; h is (n, dim), norm_adj an (n, n) operator."""
         if h.shape[1] != self.dim:
             raise DimensionError(
                 f"gcn expects width {self.dim}, got features of width {h.shape[1]}")
         for w in self.weights:
-            h = T.relu(T.matmul(norm_adj, T.matmul(h, w)))
+            h = T.relu(T.spmm(norm_adj, T.matmul(h, w)))
         return h
 
     def parameters(self, prefix="gcn"):

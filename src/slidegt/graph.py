@@ -2,8 +2,9 @@
 
 Occupied grid cells become nodes (row-major order); edges connect occupied
 cells that touch in any of the 8 surrounding directions.  The symmetric
-degree-normalized adjacency with self-loops is computed once at build time
-and cached dense, which desk-scale node counts make cheap.
+degree-normalized adjacency with self-loops is built once, with padded-grid
+shifts, as a fixed-width neighbor table: at most 9 entries per node, so it
+stays O(n) however large the slide.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 
-# forward half of the 8-neighborhood; the other half is covered symmetrically
-_FORWARD_OFFSETS = ((0, 1), (1, -1), (1, 0), (1, 1))
+# the 8-neighborhood plus the cell itself, in the slot order of NeighborTable
+_SLOTS = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -45,16 +46,30 @@ class FeatureGrid:
             raise ContractError("grid features contain non-finite values")
 
 
+class NeighborTable:
+    """D^-1/2 (A + I) D^-1/2 as 9 (neighbor, weight) slots per node, in
+    ``_SLOTS`` order.  An absent neighbor points at row n, a zero row appended
+    to the operand, with weight 0; a product is one gather plus one fixed-order
+    contraction over the slots, so it is deterministic."""
+
+    def __init__(self, index, weight):
+        n = index.shape[0]
+        self.index = index    # (n, 9) intp in [0, n]
+        self.weight = weight  # (n, 9) f64
+        self.shape = (n, n)
+
+    def __matmul__(self, x):
+        padded = np.concatenate([x, np.zeros((1, x.shape[1]))])
+        return np.einsum("ns,nsd->nd", self.weight, padded[self.index])
+
+
 @dataclass
 class TileGraph:
-    """Graph view of a FeatureGrid with cached normalized adjacency."""
+    """Graph view of a FeatureGrid with its normalized adjacency operator."""
 
     node_features: np.ndarray          # (n, d) f64
-    edges: list                        # [(i, j), ...] with i < j, no self loops
-    node_positions: list               # [(row, col), ...] per node
-    adj_tilde: np.ndarray              # A + I, dense (n, n)
-    deg_tilde: np.ndarray              # row sums of adj_tilde, (n,)
-    norm_adj: np.ndarray               # D^-1/2 (A + I) D^-1/2, dense (n, n)
+    deg_tilde: np.ndarray              # degrees with self-loops, (n,)
+    norm_adj: NeighborTable            # D^-1/2 (A + I) D^-1/2
     n_nodes: int = field(init=False)
 
     def __post_init__(self):
@@ -64,39 +79,19 @@ class TileGraph:
 def build_graph(grid):
     """Connect occupied cells under 8-adjacency and normalize the adjacency."""
     occ = grid.occupancy
-    index = np.full((grid.rows, grid.cols), -1, dtype=np.intp)
-    positions = list(zip(*np.nonzero(occ)))
-    for i, (r, c) in enumerate(positions):
-        index[r, c] = i
-
-    edges = []
-    for i, (r, c) in enumerate(positions):
-        for dr, dc in _FORWARD_OFFSETS:
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < grid.rows and 0 <= cc < grid.cols and index[rr, cc] >= 0:
-                j = index[rr, cc]
-                edges.append((i, j) if i < j else (j, i))
-    edges.sort()
-
-    n = len(positions)
-    adj_tilde = np.eye(n)
-    for i, j in edges:
-        adj_tilde[i, j] = 1.0
-        adj_tilde[j, i] = 1.0
-    deg = adj_tilde.sum(axis=1)
+    rows, cols = occ.shape
+    n = int(occ.sum())
+    # node ids on a grid padded by one cell; empty and outside cells hold n
+    ids = np.full((rows + 2, cols + 2), n, dtype=np.intp)
+    ids[1:-1, 1:-1][occ] = np.arange(n)
+    index = np.stack([ids[1 + dr:rows + 1 + dr, 1 + dc:cols + 1 + dc][occ]
+                      for dr, dc in _SLOTS], axis=1)
+    deg = (index < n).sum(axis=1).astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(deg)  # deg >= 1 always (self-loop)
-    norm_adj = adj_tilde * inv_sqrt[:, None] * inv_sqrt[None, :]
-
+    # the padding id n gets factor 0, so absent slots weigh 0
+    weight = inv_sqrt[:, None] * np.append(inv_sqrt, 0.0)[index]
     return TileGraph(
         node_features=np.ascontiguousarray(grid.features, dtype=np.float64),
-        edges=edges,
-        node_positions=[(int(r), int(c)) for r, c in positions],
-        adj_tilde=adj_tilde,
         deg_tilde=deg,
-        norm_adj=norm_adj,
+        norm_adj=NeighborTable(index, weight),
     )
-
-
-def normalized_adjacency(graph):
-    """Return the cached symmetric degree-normalized adjacency with self-loops."""
-    return graph.norm_adj

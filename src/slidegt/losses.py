@@ -1,10 +1,11 @@
 """Training objectives: cross-entropy and the clustering regularizer.
 
 The clustering regularizer scores a soft assignment S (rows sum to 1) against
-the self-loop adjacency: the cut term -Tr(S'AS)/Tr(S'DS) lives in [-1, 0] and
-rewards assignments that keep edges inside clusters; the orthogonality term
-|| S'S/||S'S||_F - I/sqrt(p) ||_F lives in [0, 2] and rewards balanced,
-near-hard assignments.
+the self-loop adjacency A: the cut term -Tr(S'AS)/Tr(S'DS) lives in [-1, 0]
+and rewards assignments that keep edges inside clusters (computed from the
+normalized N = D^-1/2 A D^-1/2 as <N Z, Z>/<Z, Z> with Z = D^1/2 S); the
+orthogonality term || S'S/||S'S||_F - I/sqrt(p) ||_F lives in [0, 2] and
+rewards balanced, near-hard assignments.
 """
 
 from __future__ import annotations
@@ -53,11 +54,12 @@ def cross_entropy(logits, labels):
     return T.scale(T.sum_all(picked), -1.0 / b)
 
 
-def mincut_loss(s, adj_tilde, deg_tilde):
+def mincut_loss(s, norm_adj, deg_tilde):
     """Cut and orthogonality terms for a soft assignment.
 
-    s: (n, p) tensor with rows on the simplex; adj_tilde: (n, n) self-loop
-    adjacency; deg_tilde: (n,) its row sums.  Returns (cut, ortho, total).
+    s: (n, p) tensor with rows on the simplex; norm_adj: (n, n) normalized
+    self-loop adjacency operator; deg_tilde: (n,) self-loop degrees.
+    Returns (cut, ortho, total).
     """
     n, p = s.shape
     if p < 1:
@@ -66,12 +68,10 @@ def mincut_loss(s, adj_tilde, deg_tilde):
     if not np.allclose(row_sums, 1.0, atol=1e-6):
         raise ContractError("assignment rows must sum to 1")
 
-    a = T.constant(np.asarray(adj_tilde, dtype=np.float64))
-    deg_col = T.constant(np.asarray(deg_tilde, dtype=np.float64).reshape(n, 1))
-
-    # Tr(S'AS) = sum((A S) * S); Tr(S'DS) = sum(deg * S * S) since D is diagonal
-    cut_num = T.sum_all(T.mul(T.matmul(a, s), s))
-    cut_den = T.sum_all(T.mul(T.mul(s, s), deg_col))
+    root_deg = T.constant(np.sqrt(np.asarray(deg_tilde, dtype=np.float64)).reshape(n, 1))
+    z = T.mul(s, root_deg)
+    cut_num = T.sum_all(T.mul(T.spmm(norm_adj, z), z))
+    cut_den = T.sum_all(T.mul(z, z))
     cut = T.scale(T.div(cut_num, cut_den), -1.0)
 
     sts = T.matmul(T.transpose(s), s)

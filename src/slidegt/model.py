@@ -227,10 +227,9 @@ class SlideGraphTransformer:
                 f"graph features have width {graph.node_features.shape[1]}, "
                 f"model expects {self.config.input_dim}")
         h = T.constant(graph.node_features)
-        adj = T.constant(graph.norm_adj)
         if self.input_proj is not None:
             h = self.input_proj(h)
-        h = self.gcn(h, adj)
+        h = self.gcn(h, graph.norm_adj)
         out = ForwardOut(logits={}, assignments={}, kept={}, embeddings={})
         for task, branch in self.branches.items():
             refined = branch.inject(h, branch.bank)
@@ -240,7 +239,7 @@ class SlideGraphTransformer:
                 kept = np.asarray(keep_override[task], dtype=np.intp)
                 pooled, aux = T.take_rows(refined, kept), {"kept": kept}
             else:
-                pooled, aux = branch.pool(refined, adj, rng)
+                pooled, aux = branch.pool(refined, graph.norm_adj, rng)
             if "assignment" in aux:
                 out.assignments[task] = aux["assignment"]
             if "kept" in aux:
@@ -252,12 +251,3 @@ class SlideGraphTransformer:
 def softmax_1d(x):
     e = np.exp(x - x.max())
     return e / e.sum()
-
-
-def predict_proba(model, graph, rng=None):
-    """Class probabilities per task; a fresh fixed-seed rng makes the default
-    deterministic for models with random pooling."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    out = model.forward(graph, rng)
-    return {task: softmax_1d(logit.data[0]) for task, logit in out.logits.items()}

@@ -64,7 +64,7 @@ class GcMinCutPool:
         self.w = glorot(rng, dim, clusters)
 
     def assignment(self, h, norm_adj):
-        scores = T.relu(T.matmul(norm_adj, T.matmul(h, self.w)))
+        scores = T.relu(T.spmm(norm_adj, T.matmul(h, self.w)))
         if self.assign_softmax:
             return T.softmax_rows(scores)
         # plain row normalization; zero rows get a constant row -> uniform
@@ -140,7 +140,7 @@ class SagPool(_ScoredSelectPool):
     kind = "sag"
 
     def _scores(self, h, norm_adj):
-        return norm_adj.data @ (h.data @ self.w.data)
+        return norm_adj @ (h.data @ self.w.data)
 
 
 class DiffPool:
@@ -155,7 +155,7 @@ class DiffPool:
         self.w = glorot(rng, dim, clusters)
 
     def __call__(self, h, norm_adj, rng):
-        s = T.softmax_rows(T.matmul(norm_adj, T.matmul(h, self.w)))
+        s = T.softmax_rows(T.spmm(norm_adj, T.matmul(h, self.w)))
         return T.matmul(T.transpose(s), h), {}
 
     def parameters(self, prefix):

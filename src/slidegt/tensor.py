@@ -5,10 +5,11 @@ closure, and stamps a monotonically increasing op id.  ``backward`` replays
 the closures in strictly decreasing op-id order, which is exactly the reverse
 of execution order, so accumulation into shared parameters is deterministic.
 
-Shapes stay desk scale, so everything is dense numpy and every op output is
-checked for NaN/Inf up front instead of letting bad values propagate into
-training.  Tensors are treated as immutable after creation; only gradient
-buffers (and parameter data, inside the optimizer step) are written in place.
+Tensors are dense numpy arrays; a graph's sparse adjacency enters only as the
+fixed operator of ``spmm``.  Every op output is checked for NaN/Inf up front
+instead of letting bad values propagate into training.  Tensors are treated
+as immutable after creation; only gradient buffers (and parameter data,
+inside the optimizer step) are written in place.
 """
 
 from __future__ import annotations
@@ -269,6 +270,18 @@ def matmul(a, b):
     return _result(a.data @ b.data, (a, b), back)
 
 
+def spmm(adj, x):
+    """adj @ x for a fixed symmetric operator ``adj`` (a dense array or a
+    ``graph.NeighborTable``, not a tensor); symmetry makes the backward adj @ g."""
+    if x.data.ndim != 2 or adj.shape[1] != x.shape[0]:
+        raise DimensionError(f"spmm: incompatible shapes {adj.shape} and {x.shape}")
+
+    def back(g):
+        return [(x, adj @ g)]
+
+    return _result(adj @ x.data, (x,), back)
+
+
 def transpose(a):
     if a.data.ndim != 2:
         raise DimensionError(f"transpose needs a 2-D tensor, got shape {a.shape}")
@@ -319,15 +332,6 @@ def sum_all(a):
         return [(a, np.full(a.data.shape, float(g)))]
 
     return _result(np.asarray(a.data.sum()), (a,), back)
-
-
-def mean_all(a):
-    inv = 1.0 / a.data.size
-
-    def back(g):
-        return [(a, np.full(a.data.shape, float(g) * inv))]
-
-    return _result(np.asarray(a.data.mean()), (a,), back)
 
 
 # ------------------------------------------------------------ row softmaxes

@@ -121,14 +121,13 @@ def assemble_loss(out, graph, labels_by_task, weights):
     }
     mincut_total = None
     for s in out.assignments.values():
-        term = mincut_loss(s, graph.adj_tilde, graph.deg_tilde).total
+        term = mincut_loss(s, graph.norm_adj, graph.deg_tilde).total
         mincut_total = term if mincut_total is None else mincut_total + term
     return total_loss(task_losses, mincut_total, weights)
 
 
 def _train_model(cfg, model, graphs, samples, train_idx, run_seed, fold):
     opt = Adam(model.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2), eps=cfg.eps)
-    inv_cache = {}
     for epoch in range(cfg.epochs):
         order = _rng(_TAG_SHUFFLE, run_seed, fold, epoch).permutation(train_idx)
         for start in range(0, len(order), cfg.batch_size):
@@ -141,7 +140,7 @@ def _train_model(cfg, model, graphs, samples, train_idx, run_seed, fold):
                     out = model.forward(graphs[si], rng)
                     labels = {task: sample.label(task) for task in out.logits}
                     backward(assemble_loss(out, graphs[si], labels, cfg.weights))
-                inv = inv_cache.setdefault(len(batch), 1.0 / len(batch))
+                inv = 1.0 / len(batch)
                 for _, p in model.parameters():
                     p.grad *= inv
                 opt.step()
@@ -282,7 +281,10 @@ def run_training(cfg, dataset, out_dir=None):
     workers = cfg.workers
     cap = os.environ.get("SLIDEGT_WORKERS")
     if cap is not None:
-        workers = max(1, min(workers, int(cap)))
+        try:
+            workers = max(1, min(workers, int(cap)))
+        except ValueError:
+            raise ConfigError(f"SLIDEGT_WORKERS must be an integer, got {cap!r}") from None
     records = []
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

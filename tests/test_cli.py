@@ -85,6 +85,13 @@ def test_missing_dataset_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bad_worker_cap_exits_one(data_path, monkeypatch, capsys):
+    monkeypatch.setenv("SLIDEGT_WORKERS", "two")
+    rc = main(["train", "--data", str(data_path)] + TRAIN_FLAGS)
+    assert rc == 1
+    assert "SLIDEGT_WORKERS must be an integer, got 'two'" in capsys.readouterr().err
+
+
 def test_eval_rejects_mismatched_checkpoint(data_path, tmp_path, capsys):
     other = tmp_path / "wide.mgts"
     assert main(["synth", "--samples", "4", "--rows", "10", "--cols", "10",

@@ -87,16 +87,6 @@ def test_stratified_folds_balance_every_joint_class():
     assert totals.max() - totals.min() <= 1  # offset carry balances sizes too
 
 
-def test_fold_split_partitions_the_dataset(small_ds):
-    seen = []
-    for fold in range(SMALL.folds):
-        train, test = small_ds.fold_split(fold)
-        assert set(train) | set(test) == set(range(SMALL.samples))
-        assert not set(train) & set(test)
-        seen.extend(test.tolist())
-    assert sorted(seen) == list(range(SMALL.samples))
-
-
 def test_generated_folds_respect_joint_stratification(small_ds):
     joint = np.array([2 * s.label_type + s.label_stage for s in small_ds.samples])
     for value in np.unique(joint):

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -8,9 +9,8 @@ from slidegt import fileio
 from slidegt.data import SyntheticSpec, generate
 from slidegt.errors import CheckpointError, ParseError
 from slidegt.fileio import (grid_from_bytes, grid_to_bytes, load_checkpoint,
-                            load_dataset, load_embeddings, load_grid,
-                            save_checkpoint, save_dataset, save_embeddings,
-                            save_grid)
+                            load_dataset, load_embeddings, save_checkpoint,
+                            save_dataset, save_embeddings)
 from slidegt.graph import FeatureGrid
 from slidegt.model import BranchConfig, ModelConfig, SlideGraphTransformer
 from test_model import small_config, small_graph
@@ -47,12 +47,9 @@ def test_grid_reader_accepts_hand_assembled_bytes():
     assert (g.features == ref.features).all()  # exact f32-representable values
 
 
-def test_grid_round_trip_is_bitwise_stable(tmp_path):
-    path = tmp_path / "g.mgt1"
-    save_grid(fixture_grid(), path)
-    again = load_grid(path)
-    save_grid(again, tmp_path / "g2.mgt1")
-    assert path.read_bytes() == (tmp_path / "g2.mgt1").read_bytes()
+def test_grid_round_trip_is_bitwise_stable():
+    raw = grid_to_bytes(fixture_grid())
+    assert grid_to_bytes(grid_from_bytes(raw)) == raw
 
 
 def test_generated_features_round_trip_exactly():
@@ -169,6 +166,19 @@ def test_checkpoint_with_tampered_shape_is_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_with_non_finite_weight_is_rejected(tmp_path, bad):
+    model = trained_like_model()
+    blobs = [(n, p.data.copy()) for n, p in model.parameters()]
+    name, arr = blobs[0]
+    arr.flat[1] = bad
+    header = {"kind": "checkpoint", "model": model.config.to_dict()}
+    path = tmp_path / "bad.mgtc"
+    fileio._write_container(path, fileio.CHECKPOINT_MAGIC, header, blobs)
+    with pytest.raises(CheckpointError, match=f"{name!r} holds non-finite"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_with_wrong_kind_is_rejected(tmp_path):
     path = tmp_path / "bad.mgtc"
     fileio._write_container(path, fileio.CHECKPOINT_MAGIC, {"kind": "other"}, [])
@@ -255,6 +265,53 @@ def test_dataset_with_corrupt_sample_names_it(tmp_path, tiny_ds):
     path.write_bytes(bytes(buf))
     with pytest.raises(ParseError, match="sample 0"):
         load_dataset(path)
+
+
+def _mutate_sample(i, key, value):
+    def mutate(header):
+        header["samples"][i][key] = value
+    return mutate
+
+
+def _drop_stage(header):
+    del header["samples"][0]["stage"]
+
+
+def _mutate_spec(key, value):
+    def mutate(header):
+        header["spec"][key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_drop_stage, r"integer 'stage' in \[0, 2\), got None"),
+    (_mutate_sample(1, "type", 7), r"integer 'type' in \[0, 2\), got 7"),
+    (_mutate_sample(0, "stage", -1), r"integer 'stage' in \[0, 2\), got -1"),
+    (_mutate_sample(2, "type", "1"), r"integer 'type' .* got '1'"),
+    (_mutate_sample(0, "fold", 1.0), r"integer 'fold' .* got 1.0"),
+    (_mutate_sample(0, "stage", True), r"integer 'stage' .* got True"),
+    (_mutate_sample(0, "fold", -1), r"integer 'fold' in \[0, 3\), got -1"),
+    (_mutate_sample(3, "fold", 3), r"sample 3 needs an integer 'fold' in \[0, 3\), got 3"),
+    (_mutate_sample(4, "id", -2), r"integer 'id' in \[0, inf\), got -2"),
+    (_mutate_sample(4, "id", 0), "sample 4 repeats sample id 0"),
+    (_mutate_spec("folds", "x"), "bad dataset header"),
+    (_mutate_spec("folds", 0), "bad dataset header: folds must be in"),
+], ids=["missing-stage", "type-7", "stage-negative", "type-string", "fold-float",
+        "stage-bool", "fold-negative", "fold-too-large", "negative-id", "duplicate-id",
+        "spec-folds-string", "spec-folds-zero"])
+def test_dataset_header_sample_entries_are_validated(tmp_path, tiny_ds, mutate,
+                                                     message):
+    path = tmp_path / "d.mgts"
+    save_dataset(tiny_ds, path)
+    buf = path.read_bytes()
+    (length,) = struct.unpack_from("<I", buf, 8)
+    header = json.loads(buf[12:12 + length])
+    mutate(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(buf[:8] + struct.pack("<I", len(raw)) + raw + buf[12 + length:])
+    with pytest.raises(ParseError, match=message) as exc:
+        load_dataset(path)
+    assert exc.value.offset == 12  # the JSON header
 
 
 def test_dataset_truncation_is_rejected(tmp_path, tiny_ds):

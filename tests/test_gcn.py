@@ -45,7 +45,7 @@ def test_single_layer_matches_scalar_oracle(seed):
     adj = random_norm_adj(rng, n)
     h = rng.normal(0, 1, (n, d))
     stack = GcnStack(np.random.default_rng(seed + 1), dim=d, depth=1)
-    out = stack(constant(h), constant(adj))
+    out = stack(constant(h), adj)
     assert_allclose(out.data, reference_layer(adj, h, stack.weights[0].data),
                     atol=1e-12)
 
@@ -57,7 +57,7 @@ def test_two_layers_compose(seed):
     adj = random_norm_adj(rng, n)
     h = rng.normal(0, 1, (n, d))
     stack = GcnStack(np.random.default_rng(seed + 1), dim=d, depth=2)
-    out = stack(constant(h), constant(adj))
+    out = stack(constant(h), adj)
     step = reference_layer(adj, h, stack.weights[0].data)
     expected = reference_layer(adj, step, stack.weights[1].data)
     assert_allclose(out.data, expected, atol=1e-12)
@@ -66,7 +66,7 @@ def test_two_layers_compose(seed):
 def test_zero_features_stay_zero():
     stack = GcnStack(np.random.default_rng(0), dim=3, depth=2)
     adj = random_norm_adj(np.random.default_rng(1), 4)
-    out = stack(constant(np.zeros((4, 3))), constant(adj))
+    out = stack(constant(np.zeros((4, 3))), adj)
     assert_array_equal(out.data, np.zeros((4, 3)))
 
 
@@ -78,9 +78,9 @@ def test_permutation_equivariance(seed):
     h = rng.normal(0, 1, (n, d))
     perm = rng.permutation(n)
     stack = GcnStack(np.random.default_rng(seed + 1), dim=d, depth=2)
-    base = stack(constant(h), constant(adj)).data
+    base = stack(constant(h), adj).data
     permuted = stack(constant(h[perm]),
-                     constant(adj[np.ix_(perm, perm)])).data
+                     adj[np.ix_(perm, perm)]).data
     assert_allclose(permuted, base[perm], atol=1e-10)
 
 
@@ -93,12 +93,12 @@ def test_gradients_match_fd():
     c = constant(rng.normal(0, 1, (n, d)))
     params = [h] + [w for w in stack.weights]
     assert_grads_match_fd(
-        lambda: T.sum_all(T.mul(stack(h, constant(adj)), c)), params)
+        lambda: T.sum_all(T.mul(stack(h, adj), c)), params)
 
 
 def test_width_mismatch_and_bad_depth():
     stack = GcnStack(np.random.default_rng(0), dim=4, depth=1)
     with pytest.raises(DimensionError, match="width"):
-        stack(constant(np.zeros((3, 5))), constant(np.eye(3)))
+        stack(constant(np.zeros((3, 5))), np.eye(3))
     with pytest.raises(ConfigError):
         GcnStack(np.random.default_rng(0), dim=4, depth=0)

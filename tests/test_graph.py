@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from slidegt.errors import ContractError, DimensionError
-from slidegt.graph import FeatureGrid, build_graph, normalized_adjacency
+from slidegt.graph import FeatureGrid, build_graph
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -37,45 +37,53 @@ def reference_norm_adj(mask):
     return out
 
 
+def dense(g):
+    """The graph's adjacency operator applied to the identity."""
+    return g.norm_adj @ np.eye(g.n_nodes)
+
+
 def test_single_cell_graph():
     g = build_graph(grid_from_mask([[True]]))
     assert g.n_nodes == 1
-    assert g.edges == []
-    assert_array_equal(g.norm_adj, [[1.0]])
+    assert_array_equal(dense(g), [[1.0]])
     assert_array_equal(g.deg_tilde, [1.0])
 
 
 def test_three_cell_path_normalization():
     # one row of three cells: degrees with self-loops are 2, 3, 2
     g = build_graph(grid_from_mask([[True, True, True]]))
-    assert g.edges == [(0, 1), (1, 2)]
-    assert_allclose(g.norm_adj[0, 1], 1.0 / np.sqrt(6.0), atol=1e-15)
-    assert_allclose(g.norm_adj[1, 2], 1.0 / np.sqrt(6.0), atol=1e-15)
-    assert g.norm_adj[0, 2] == 0.0
-    assert_allclose(np.diag(g.norm_adj), [0.5, 1.0 / 3.0, 0.5], atol=1e-15)
+    a = dense(g)
+    assert_array_equal(g.deg_tilde, [2.0, 3.0, 2.0])
+    assert_allclose(a[0, 1], 1.0 / np.sqrt(6.0), atol=1e-15)
+    assert_allclose(a[1, 2], 1.0 / np.sqrt(6.0), atol=1e-15)
+    assert a[0, 2] == 0.0
+    assert_allclose(np.diag(a), [0.5, 1.0 / 3.0, 0.5], atol=1e-15)
 
 
 def test_full_2x2_block_is_uniform():
     g = build_graph(grid_from_mask([[True, True], [True, True]]))
     # all four cells mutually adjacent under 8-adjacency
-    assert len(g.edges) == 6
-    assert_allclose(g.norm_adj, np.full((4, 4), 0.25), atol=1e-15)
+    assert_array_equal(g.deg_tilde, [4.0] * 4)
+    assert_allclose(dense(g), np.full((4, 4), 0.25), atol=1e-15)
 
 
 def test_diagonal_cells_connect():
     g = build_graph(grid_from_mask([[True, False], [False, True]]))
-    assert g.edges == [(0, 1)]
+    assert_allclose(dense(g), np.full((2, 2), 0.5), atol=1e-15)
 
 
 def test_gap_does_not_connect():
     g = build_graph(grid_from_mask([[True, False, True]]))
-    assert g.edges == []
+    assert_array_equal(dense(g), np.eye(2))
 
 
 def test_node_order_is_row_major():
-    mask = [[False, True], [True, False]]
+    # row-major ids: 0=(0,1), 1=(0,2), 2=(1,0); cell (0,1) touches both
+    # others, which do not touch each other
+    mask = [[False, True, True], [True, False, False]]
     g = build_graph(grid_from_mask(mask))
-    assert g.node_positions == [(0, 1), (1, 0)]
+    assert_array_equal(g.deg_tilde, [3.0, 2.0, 2.0])
+    assert dense(g)[1, 2] == 0.0
 
 
 @given(seeds)
@@ -85,8 +93,7 @@ def test_norm_adj_matches_pairwise_oracle(seed):
     if not mask.any():
         mask[0, 0] = True
     g = build_graph(grid_from_mask(mask, seed=seed))
-    assert_allclose(g.norm_adj, reference_norm_adj(mask), atol=1e-14)
-    assert normalized_adjacency(g) is g.norm_adj
+    assert_allclose(dense(g), reference_norm_adj(mask), atol=1e-14)
 
 
 @given(seeds)
@@ -96,21 +103,42 @@ def test_norm_adj_is_symmetric_with_bounded_spectrum(seed):
     if not mask.any():
         mask[2, 2] = True
     g = build_graph(grid_from_mask(mask, seed=seed))
-    assert_array_equal(g.norm_adj, g.norm_adj.T)
-    eigs = np.linalg.eigvalsh(g.norm_adj)
+    a = dense(g)
+    assert_array_equal(a, a.T)
+    eigs = np.linalg.eigvalsh(a)
     assert eigs.max() <= 1.0 + 1e-10
     assert eigs.min() >= -1.0 - 1e-10
 
 
 @given(seeds)
-def test_edges_are_sorted_unique_no_self_loops(seed):
+def test_neighbor_table_lists_each_node_once(seed):
     rng = np.random.default_rng(seed)
     mask = rng.random((6, 4)) < 0.5
     if not mask.any():
         mask[0, 0] = True
     g = build_graph(grid_from_mask(mask, seed=seed))
-    assert g.edges == sorted(set(g.edges))
-    assert all(i < j for i, j in g.edges)
+    n = g.n_nodes
+    table = g.norm_adj
+    assert table.index.shape == table.weight.shape == (n, 9)
+    for i in range(n):
+        present = table.index[i] < n
+        ids = table.index[i][present]
+        assert len(set(ids.tolist())) == len(ids)  # no repeated neighbor
+        assert ids.tolist().count(i) == 1          # exactly one self slot
+        assert (table.index[i][~present] == n).all()
+        assert (table.weight[i][~present] == 0.0).all()
+    assert_array_equal(g.deg_tilde, (table.index < n).sum(axis=1))
+
+
+def test_full_large_grid_stays_linear_in_memory():
+    # a dense (A + I) of this grid alone would take n * n * 8 bytes = 2 GiB
+    side = 128
+    g = build_graph(grid_from_mask(np.ones((side, side), bool), dim=1))
+    assert g.n_nodes == side * side
+    held = (g.node_features.nbytes + g.deg_tilde.nbytes
+            + g.norm_adj.index.nbytes + g.norm_adj.weight.nbytes)
+    assert held < 5 * 2**20
+    assert_array_equal(g.deg_tilde[[0, side + 1]], [4.0, 9.0])  # corner, interior
 
 
 def test_grid_validation():

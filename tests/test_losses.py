@@ -22,8 +22,14 @@ def reference_ce(logits, labels):
     return total / len(labels)
 
 
+def normalized(adj_tilde):
+    """(D^-1/2 A D^-1/2, row sums of A) for a self-loop adjacency A."""
+    deg = adj_tilde.sum(axis=1)
+    return adj_tilde / np.sqrt(np.outer(deg, deg)), deg
+
+
 def two_triangles():
-    """Two disjoint 3-cliques; returns (adj_tilde, deg_tilde).
+    """Two disjoint 3-cliques; returns (norm_adj, deg_tilde).
 
     With self loops each block of the adjacency is all-ones, so a hard
     per-block assignment has no cut mass outside its cluster.
@@ -31,7 +37,7 @@ def two_triangles():
     a = np.zeros((6, 6))
     a[:3, :3] = 1.0
     a[3:, 3:] = 1.0
-    return a, a.sum(axis=1)
+    return normalized(a)
 
 
 # -------------------------------------------------------------- cross-entropy
@@ -123,7 +129,7 @@ def test_mincut_matches_trace_oracle(seed):
     deg = adj.sum(axis=1)
     raw = rng.random((n, p)) + 1e-3
     s = raw / raw.sum(axis=1, keepdims=True)
-    terms = mincut_loss(constant(s), adj, deg)
+    terms = mincut_loss(constant(s), *normalized(adj))
     cut_ref, ortho_ref = reference_mincut(s, adj, deg)
     assert_allclose(float(terms.cut.data), cut_ref, atol=1e-10)
     assert_allclose(float(terms.ortho.data), ortho_ref, atol=1e-10)
@@ -138,7 +144,7 @@ def test_term_bounds_hold_over_random_sweep():
         adj = adj + adj.T + np.eye(n)
         raw = rng.random((n, p)) + 1e-6
         s = raw / raw.sum(axis=1, keepdims=True)
-        terms = mincut_loss(constant(s), adj, adj.sum(axis=1))
+        terms = mincut_loss(constant(s), *normalized(adj))
         assert -1.0 - 1e-9 <= float(terms.cut.data) <= 0.0 + 1e-9
         assert 0.0 <= float(terms.ortho.data) <= 2.0 + 1e-9
 

@@ -7,7 +7,7 @@ from slidegt.errors import ConfigError, ContractError
 from slidegt.graph import FeatureGrid, build_graph
 from slidegt.losses import cross_entropy
 from slidegt.model import (BranchConfig, ModelConfig, SlideGraphTransformer,
-                           default_branches, predict_proba)
+                           default_branches, softmax_1d)
 from slidegt.tensor import backward
 
 
@@ -36,9 +36,9 @@ def small_graph(seed=0, rows=3, cols=4, dim=5, fill=0.8):
 def test_untrained_binary_heads_sit_exactly_at_half():
     # zero-init output layer -> logits are exactly zero before training
     model = SlideGraphTransformer(small_config(), seed=1)
-    probs = predict_proba(model, small_graph(2))
+    out = model.forward(small_graph(2), np.random.default_rng(0))
     for task in ("typing", "staging"):
-        assert_array_equal(probs[task], [0.5, 0.5])
+        assert_array_equal(softmax_1d(out.logits[task].data[0]), [0.5, 0.5])
 
 
 def test_forward_shapes_and_aux():
@@ -139,15 +139,6 @@ def test_single_task_model_has_no_other_branch():
     out = model.forward(small_graph(13), np.random.default_rng(0))
     assert set(out.logits) == {"staging"}
     assert not any(n.startswith("typing.") for n, _ in model.parameters())
-
-
-def test_predict_proba_rows_are_distributions():
-    model = SlideGraphTransformer(small_config(head_init="random"), seed=14)
-    probs = predict_proba(model, small_graph(15))
-    for p in probs.values():
-        assert p.shape == (2,)
-        assert_allclose(p.sum(), 1.0, atol=1e-12)
-        assert (p >= 0).all()
 
 
 def test_same_seed_builds_identical_models():
