@@ -24,8 +24,9 @@ from .model import BranchConfig, ModelConfig
 from .train import (ABLATION_AXES, PARADIGMS, TrainConfig, evaluate,
                     format_summary, run_ablation, run_training)
 
+# OSError covers unreadable or misdirected paths (missing file, directory)
 _ERRORS = (CheckpointError, ConfigError, ContractError, DimensionError,
-           NonFiniteError, ParseError, TrainingDiverged)
+           NonFiniteError, ParseError, TrainingDiverged, OSError)
 
 
 def _add_synth(sub):
@@ -245,12 +246,16 @@ def _cmd_export(args):
             f"dataset has {dim}")
     by_id = {s.sample_id: s for s in dataset.samples}
     ids = sorted(by_id) if args.samples is None else args.samples
-    entries = []
-    for sid in ids:
+    seen = set()
+    for sid in ids:  # check every id before any forward runs
         if sid not in by_id:
             raise ConfigError(f"sample id {sid} not in dataset")
-        sample = by_id[sid]
-        out = model.forward(build_graph(sample.grid), np.random.default_rng(0),
+        if sid in seen:
+            raise ConfigError(f"sample id {sid} is given more than once")
+        seen.add(sid)
+    entries = []
+    for sid in ids:
+        out = model.forward(build_graph(by_id[sid].grid), np.random.default_rng(0),
                             capture_embeddings=True)
         for task, arr in out.embeddings.items():
             entries.append((sid, task, arr))
@@ -294,9 +299,6 @@ def main(argv=None):
     try:
         return args.fn(args)
     except _ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

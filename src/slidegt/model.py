@@ -168,6 +168,18 @@ class Branch:
         params += self.head.parameters(f"{prefix}.head")
         return params
 
+    def readout(self, refined, norm_adj, rng, kept=None):
+        """Pool the injected node rows and read out ``(logits, aux)``.
+
+        ``kept`` pins the pooled rows, bypassing the pool and its rng.
+        """
+        if kept is not None:
+            kept = np.asarray(kept, dtype=np.intp)
+            pooled, aux = T.take_rows(refined, kept), {"kept": kept}
+        else:
+            pooled, aux = self.pool(refined, norm_adj, rng)
+        return self.head(pooled), aux
+
 
 @dataclass
 class ForwardOut:
@@ -175,6 +187,7 @@ class ForwardOut:
     assignments: dict     # task -> (n, p) soft assignment tensor, when present
     kept: dict            # task -> kept node indices, when present
     embeddings: dict      # task -> (n, dim) array copies, when captured
+    refined: dict         # task -> (n, dim) post-injection tensor
 
 
 class SlideGraphTransformer:
@@ -216,35 +229,48 @@ class SlideGraphTransformer:
         for _, p in self._params:
             p.grad[...] = 0.0
 
-    def forward(self, graph, rng, keep_override=None, capture_embeddings=False):
+    def forward(self, graph, rng, keep_override=None, capture_embeddings=False,
+                reuse=None):
         """Run all branches on one tile graph.
 
         rng drives random pooling; keep_override (task -> index array) pins
         kept rows for drop-style pools, bypassing rng for that task.
+
+        reuse is an earlier output of this model on this graph.  It skips the
+        input projection, the GCN and every injection: branches whose pool
+        draws no random numbers copy their outputs from it, and drop branches
+        pool and read out its refined rows again, drawing from rng in branch
+        order as a full forward does.
         """
         if graph.node_features.shape[1] != self.config.input_dim:
             raise ContractError(
                 f"graph features have width {graph.node_features.shape[1]}, "
                 f"model expects {self.config.input_dim}")
-        h = T.constant(graph.node_features)
-        if self.input_proj is not None:
-            h = self.input_proj(h)
-        h = self.gcn(h, graph.norm_adj)
-        out = ForwardOut(logits={}, assignments={}, kept={}, embeddings={})
+        keep_override = keep_override or {}
+        if reuse is None:
+            h = T.constant(graph.node_features)
+            if self.input_proj is not None:
+                h = self.input_proj(h)
+            h = self.gcn(h, graph.norm_adj)
+        out = ForwardOut(logits={}, assignments={}, kept={}, embeddings={}, refined={})
         for task, branch in self.branches.items():
-            refined = branch.inject(h, branch.bank)
+            refined = branch.inject(h, branch.bank) if reuse is None else reuse.refined[task]
+            out.refined[task] = refined
             if capture_embeddings:
                 out.embeddings[task] = refined.data.copy()
-            if keep_override is not None and task in keep_override:
-                kept = np.asarray(keep_override[task], dtype=np.intp)
-                pooled, aux = T.take_rows(refined, kept), {"kept": kept}
+            if reuse is not None and branch.pool.kind != "drop":
+                logits = reuse.logits[task]
+                aux = {key: held[task] for key, held in
+                       (("assignment", reuse.assignments), ("kept", reuse.kept))
+                       if task in held}
             else:
-                pooled, aux = branch.pool(refined, graph.norm_adj, rng)
+                logits, aux = branch.readout(refined, graph.norm_adj, rng,
+                                             keep_override.get(task))
+            out.logits[task] = logits
             if "assignment" in aux:
                 out.assignments[task] = aux["assignment"]
             if "kept" in aux:
                 out.kept[task] = aux["kept"]
-            out.logits[task] = branch.head(pooled)
         return out
 
 

@@ -9,11 +9,13 @@ Tensors are dense numpy arrays; a graph's sparse adjacency enters only as the
 fixed operator of ``spmm``.  Every op output is checked for NaN/Inf up front
 instead of letting bad values propagate into training.  Tensors are treated
 as immutable after creation; only gradient buffers (and parameter data,
-inside the optimizer step) are written in place.
+inside the optimizer step) are written in place.  Inside ``no_grad()`` ops
+still compute and check their outputs but record nothing on the tape.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 
@@ -22,6 +24,19 @@ import numpy as np
 from .errors import ContractError, DimensionError, NonFiniteError
 
 _op_counter = itertools.count()
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, op outputs keep no parents and no backward closure."""
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def _ensure_finite(arr, what="tensor"):
@@ -88,13 +103,14 @@ def constant(arr):
 
 
 def _result(data, parents, backward):
-    """Build an op output; constant-folds when no parent needs gradients."""
+    """Build an op output; constant-folds when no parent needs gradients or
+    when recording is off."""
     _ensure_finite(data, "op output")
     t = Tensor.__new__(Tensor)
     t.data = data
     t.grad = None
     t._op_id = next(_op_counter)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         t.requires_grad = True
         t._parents = tuple(parents)
         t._backward = backward

@@ -24,7 +24,7 @@ from .losses import LossWeights, cross_entropy, mincut_loss, total_loss
 from .metrics import compute_metrics, mean_std
 from .model import ModelConfig, SlideGraphTransformer, softmax_1d
 from .optim import Adam
-from .tensor import backward
+from .tensor import backward, no_grad
 
 # purpose tags for independent seed streams
 _TAG_INIT = 101
@@ -155,23 +155,24 @@ def _model_has_random_pool(model):
     return any(branch.pool.kind == "drop" for branch in model.branches.values())
 
 
-def _scores_for_indices(model, graphs, samples, indices, rng_for_sample):
-    scores = {task: [] for task in model.branches}
-    for si in indices:
-        sample = samples[si]
-        out = model.forward(graphs[si], rng_for_sample(sample.sample_id))
-        for task, logits in out.logits.items():
-            scores[task].append(float(softmax_1d(logits.data[0])[1]))
-    return {task: np.array(vals) for task, vals in scores.items()}
+def _append_scores(scores, out):
+    for task, logits in out.logits.items():
+        scores[task].append(float(softmax_1d(logits.data[0])[1]))
 
 
 def evaluate(model, graphs, samples, indices, eval_drop_seeds=8):
     """Metrics per task on the given sample indices.
 
     Drop pooling is deterministic at eval time: the kept subset is seeded by
-    the sample id alone.  Models with random pooling additionally report each
-    metric averaged over ``eval_drop_seeds`` independent drop seeds.
+    the sample id alone.  Models with random pooling additionally report, for
+    every task, each metric averaged over ``eval_drop_seeds`` independent drop
+    seeds (``*_seed_avg``): the mean of the per-seed metrics, not of logits.
+    Each slide's seeded draws reuse its first forward's encoder and injected
+    rows, so only the drop pools and their heads run again.  Nothing is
+    recorded on the tape.
     """
+    if eval_drop_seeds < 1:
+        raise ConfigError(f"eval_drop_seeds must be >= 1, got {eval_drop_seeds}")
     indices = np.asarray(indices)
     if indices.size == 0:
         raise ContractError("evaluation needs at least one sample")
@@ -179,20 +180,27 @@ def evaluate(model, graphs, samples, indices, eval_drop_seeds=8):
         task: np.array([samples[si].label(task) for si in indices])
         for task in model.branches
     }
-    scores = _scores_for_indices(model, graphs, samples, indices,
-                                 lambda sid: _rng(_TAG_EVAL_DROP, sid))
+    random_pool = _model_has_random_pool(model) and eval_drop_seeds > 1
+    draws = eval_drop_seeds if random_pool else 0
+    scores = {task: [] for task in model.branches}
+    seed_scores = [{task: [] for task in model.branches} for _ in range(draws)]
+    with no_grad():
+        for si in indices:
+            sid = samples[si].sample_id
+            first = model.forward(graphs[si], _rng(_TAG_EVAL_DROP, sid))
+            _append_scores(scores, first)
+            for j in range(draws):
+                out = model.forward(graphs[si], _rng(_TAG_EVAL_DROP, sid, j), reuse=first)
+                _append_scores(seed_scores[j], out)
     results = {}
     for task in model.branches:
-        m = compute_metrics(scores[task], labels[task])
+        m = compute_metrics(np.array(scores[task]), labels[task])
         results[task] = {"auc": m.auc, "acc": m.acc, "f1": m.f1, "n": m.n}
-    if _model_has_random_pool(model) and eval_drop_seeds > 1:
+    if draws:
         per_seed = {task: {k: [] for k in METRIC_KEYS} for task in model.branches}
-        for j in range(eval_drop_seeds):
-            seed_scores = _scores_for_indices(
-                model, graphs, samples, indices,
-                lambda sid: _rng(_TAG_EVAL_DROP, sid, j))
+        for draw in seed_scores:
             for task in model.branches:
-                m = compute_metrics(seed_scores[task], labels[task])
+                m = compute_metrics(np.array(draw[task]), labels[task])
                 for k in METRIC_KEYS:
                     per_seed[task][k].append(getattr(m, k))
         for task in model.branches:
@@ -276,6 +284,8 @@ def run_training(cfg, dataset, out_dir=None):
         raise ConfigError(
             f"dataset feature width {dim} does not match model input_dim "
             f"{cfg.model.input_dim}")
+    if out_dir is not None:  # fail on a bad path before any fold trains
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     folds = _dataset_folds(cfg, dataset)
     jobs = [(run, fold) for run in range(cfg.runs) for fold in range(cfg.folds)]
     workers = cfg.workers
@@ -307,7 +317,6 @@ def run_training(cfg, dataset, out_dir=None):
 
 def _write_report(report, dataset, out_dir):
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "metrics.jsonl", "w") as fh:
         for record in report["records"]:
             fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -23,6 +23,14 @@ def data_path(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def checkpoint(data_path, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_run")
+    assert main(["train", "--data", str(data_path), "--out", str(out)]
+                + TRAIN_FLAGS) == 0
+    return out / "checkpoints" / "run0_fold0.mgtc"
+
+
 def test_synth_writes_a_loadable_dataset(data_path, capsys):
     ds = load_dataset(data_path)
     assert len(ds.samples) == 8
@@ -132,3 +140,45 @@ def test_ablate_runs_the_paradigm_axis(data_path, tmp_path, capsys):
     lines = (out / "ablation.jsonl").read_text().strip().split("\n")
     assert {json.loads(l)["variant"] for l in lines} == \
            {"multi", "single_type", "single_stage"}
+
+
+def test_directory_given_as_a_file_exits_one(data_path, checkpoint, tmp_path, capsys):
+    assert main(["train", "--data", str(tmp_path)] + TRAIN_FLAGS) == 1
+    assert "error:" in capsys.readouterr().err
+    rc = main(["export-embeddings", "--checkpoint", str(tmp_path),
+               "--data", str(data_path), "--out", str(tmp_path / "emb.mgte")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_train_out_on_a_file_exits_one_before_any_fold(data_path, tmp_path,
+                                                       monkeypatch, capsys):
+    import slidegt.train as tr
+
+    def no_fold(*args, **kwargs):
+        raise AssertionError("a fold ran before the output path was checked")
+
+    monkeypatch.setattr(tr, "_run_fold", no_fold)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    rc = main(["train", "--data", str(data_path), "--out", str(blocker)] + TRAIN_FLAGS)
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_eval_rejects_fewer_than_one_drop_seed(data_path, checkpoint, seeds, capsys):
+    rc = main(["eval", "--checkpoint", str(checkpoint), "--data", str(data_path),
+               "--eval-drop-seeds", seeds])
+    assert rc == 1
+    assert "error: eval_drop_seeds must be >= 1" in capsys.readouterr().err
+
+
+def test_export_rejects_a_repeated_sample_id(data_path, checkpoint, tmp_path, capsys):
+    emb_path = tmp_path / "emb.mgte"
+    rc = main(["export-embeddings", "--checkpoint", str(checkpoint),
+               "--data", str(data_path), "--out", str(emb_path),
+               "--samples", "3", "0", "3"])
+    assert rc == 1
+    assert "error: sample id 3 is given more than once" in capsys.readouterr().err
+    assert not emb_path.exists()

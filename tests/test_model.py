@@ -178,3 +178,29 @@ def test_config_round_trips_through_dict():
     again = ModelConfig.from_dict(cfg.to_dict())
     assert again == cfg
     assert default_branches()[0].task == "typing"
+
+
+@pytest.mark.parametrize("pools", [("drop", "gcmincut"), ("drop", "drop"),
+                                   ("sag", "drop"), ("gcmincut", "gm")])
+def test_forward_reusing_an_output_equals_a_fresh_forward(pools):
+    branches = (BranchConfig(task="typing", pooling=pools[0], tokens=3, pool_size=4),
+                BranchConfig(task="staging", pooling=pools[1], tokens=3, pool_size=2))
+    model = SlideGraphTransformer(small_config(branches=branches, head_init="random"),
+                                  seed=7)
+    g = small_graph(8, rows=4, cols=5)
+    first = model.forward(g, np.random.default_rng(0))
+    for seed in (1, 2):
+        fresh = model.forward(g, np.random.default_rng(seed))
+        with T.no_grad():
+            reused = model.forward(g, np.random.default_rng(seed), reuse=first)
+        for task in ("typing", "staging"):
+            assert_array_equal(reused.logits[task].data, fresh.logits[task].data)
+            assert reused.refined[task] is first.refined[task]
+        assert reused.kept.keys() == fresh.kept.keys()
+        for task in fresh.kept:
+            assert_array_equal(reused.kept[task], fresh.kept[task])
+        assert reused.assignments.keys() == fresh.assignments.keys()
+        for task, pool in zip(("typing", "staging"), pools):
+            if pool != "drop":  # copied from the reused output, not recomputed
+                assert reused.logits[task] is first.logits[task]
+

@@ -10,7 +10,7 @@ from conftest import assert_grads_match_fd
 from slidegt import tensor as T
 from slidegt.errors import ConfigError
 from slidegt.graph import build_graph
-from slidegt.pooling import (DiffPool, GcMinCutPool, GraphMultisetPool,
+from slidegt.pooling import (POOL_KINDS, DiffPool, GcMinCutPool, GraphMultisetPool,
                              MinCutLinearPool, NodeDropPool, SagPool, SortPool,
                              TopKPool, make_pool)
 from slidegt.tensor import Tensor, constant
@@ -253,3 +253,20 @@ def test_make_pool_dispatches_and_rejects_unknown():
         make_pool("mean", rng, dim=4, size=2)
     with pytest.raises(ConfigError):
         make_pool("drop", rng, dim=4, size=0)
+
+
+@pytest.mark.parametrize("kind", [k for k in POOL_KINDS if k != "drop"])
+def test_only_drop_pool_reads_its_rng(kind):
+    # evaluation reuses a non-drop branch's output across drop seeds, which
+    # is only sound when the pool ignores the rng it is handed
+    g = build_graph(grid_from_mask(np.random.default_rng(25).random((4, 4)) < 0.8))
+    h = rand_h(np.random.default_rng(26), g.n_nodes, 4)
+    pool = make_pool(kind, np.random.default_rng(27), dim=4, size=3, heads=2)
+    runs = [pool(h, g.norm_adj, rng) for rng in
+            (None, np.random.default_rng(1), np.random.default_rng(2))]
+    for out, aux in runs[1:]:
+        assert_array_equal(out.data, runs[0][0].data)
+        assert aux.keys() == runs[0][1].keys()
+        for key, value in aux.items():
+            ref = runs[0][1][key]
+            assert_array_equal(getattr(value, "data", value), getattr(ref, "data", ref))

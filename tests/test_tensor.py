@@ -321,3 +321,21 @@ def test_constant_wrapper_does_not_track_gradients():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     backward(T.sum_all(T.mul(c, w)))
     assert_array_equal(w.grad, np.ones((2, 2)))
+
+
+def test_no_grad_records_no_tape_and_restores_on_exception():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with T.no_grad():
+        y = T.matmul(w, w)
+        assert not y.requires_grad
+        assert y._parents == () and y._backward is None
+        with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
+            T.div(w, Tensor(0.0))  # the eager finite check stays on
+    assert T.matmul(w, w).requires_grad
+    with pytest.raises(ContractError):
+        with T.no_grad():
+            raise ContractError("inside")
+    z = T.matmul(w, w)
+    assert z.requires_grad
+    backward(T.sum_all(z))
+    assert_array_equal(w.grad, np.full((2, 2), 4.0))

@@ -9,7 +9,8 @@ from slidegt.data import SyntheticSpec, generate
 from slidegt.errors import ConfigError, ContractError, NonFiniteError, TrainingDiverged
 from slidegt.graph import build_graph
 from slidegt.losses import LossWeights
-from slidegt.model import BranchConfig, ModelConfig, SlideGraphTransformer
+from slidegt.metrics import compute_metrics
+from slidegt.model import BranchConfig, ModelConfig, SlideGraphTransformer, softmax_1d
 from slidegt.optim import Adam
 from slidegt.tensor import backward
 from slidegt.train import (TrainConfig, ablation_variants, evaluate,
@@ -68,6 +69,84 @@ def test_seed_averaged_metrics_only_for_random_pooling(ds):
     rec = record_map(run_training(solo, ds))
     assert set(k for _, _, k in rec) == {"staging"}
     assert "auc_seed_avg" not in rec[(0, 0, "staging")]
+
+
+def _oracle_scores(model, graphs, samples, indices, rng_for_sample):
+    scores = {task: [] for task in model.branches}
+    for si in indices:
+        sample = samples[si]
+        out = model.forward(graphs[si], rng_for_sample(sample.sample_id))
+        for task, logits in out.logits.items():
+            scores[task].append(float(softmax_1d(logits.data[0])[1]))
+    return {task: np.array(vals) for task, vals in scores.items()}
+
+
+def oracle_evaluate(model, graphs, samples, indices, eval_drop_seeds):
+    """The per-draw loop evaluate used before draws shared one encoder pass:
+    1 + eval_drop_seeds full, taped forwards per slide."""
+    labels = {task: np.array([samples[si].label(task) for si in indices])
+              for task in model.branches}
+    scores = _oracle_scores(model, graphs, samples, indices,
+                            lambda sid: tr._rng(tr._TAG_EVAL_DROP, sid))
+    results = {}
+    for task in model.branches:
+        m = compute_metrics(scores[task], labels[task])
+        results[task] = {"auc": m.auc, "acc": m.acc, "f1": m.f1, "n": m.n}
+    if tr._model_has_random_pool(model) and eval_drop_seeds > 1:
+        per_seed = {task: {k: [] for k in tr.METRIC_KEYS} for task in model.branches}
+        for j in range(eval_drop_seeds):
+            seed_scores = _oracle_scores(
+                model, graphs, samples, indices,
+                lambda sid: tr._rng(tr._TAG_EVAL_DROP, sid, j))
+            for task in model.branches:
+                m = compute_metrics(seed_scores[task], labels[task])
+                for k in tr.METRIC_KEYS:
+                    per_seed[task][k].append(getattr(m, k))
+        for task in model.branches:
+            for k in tr.METRIC_KEYS:
+                vals = [v for v in per_seed[task][k] if v is not None]
+                results[task][f"{k}_seed_avg"] = (
+                    float(np.mean(vals)) if vals else None)
+    return results
+
+
+@pytest.mark.parametrize("pools,paradigm,draws", [
+    (("drop", "gcmincut"), "multi", 3),
+    (("drop", "gcmincut"), "multi", 1),
+    (("drop", "drop"), "multi", 3),  # two drop branches share one rng
+    (("sag", "drop"), "multi", 3),
+    (("drop", "gcmincut"), "single:type", 3),
+    (("drop", "gcmincut"), "single:stage", 3),
+])
+def test_evaluate_equals_the_per_draw_forward_oracle(ds, pools, paradigm, draws):
+    branches = (BranchConfig(task="typing", pooling=pools[0], tokens=3, pool_size=6),
+                BranchConfig(task="staging", pooling=pools[1], tokens=3, pool_size=2))
+    cfg = paradigm_model_config(
+        tiny_model_config(branches=branches, head_init="random"), paradigm)
+    model = SlideGraphTransformer(cfg, seed=3)
+    graphs = [build_graph(s.grid) for s in ds.samples]
+    indices = np.arange(len(ds.samples))
+    expected = oracle_evaluate(model, graphs, ds.samples, indices, draws)
+    assert evaluate(model, graphs, ds.samples, indices, draws) == expected
+
+
+def test_trained_evaluate_equals_the_oracle(ds):
+    cfg = tiny_train_config(epochs=1, eval_drop_seeds=3)
+    graphs = [build_graph(s.grid) for s in ds.samples]
+    model = SlideGraphTransformer(cfg.model, seed=0)
+    train_idx = np.nonzero(ds.folds == 1)[0]
+    test_idx = np.nonzero(ds.folds == 0)[0]
+    tr._train_model(cfg, model, graphs, ds.samples, train_idx, 0, 0)
+    expected = oracle_evaluate(model, graphs, ds.samples, test_idx, 3)
+    assert evaluate(model, graphs, ds.samples, test_idx, 3) == expected
+
+
+@pytest.mark.parametrize("draws", [0, -3])
+def test_evaluate_rejects_fewer_than_one_drop_seed(ds, draws):
+    model = SlideGraphTransformer(tiny_model_config(), seed=0)
+    graphs = [build_graph(s.grid) for s in ds.samples]
+    with pytest.raises(ConfigError, match="eval_drop_seeds"):
+        evaluate(model, graphs, ds.samples, np.arange(2), draws)
 
 
 def test_evaluate_rejects_empty_index_set(ds):
