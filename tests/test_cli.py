@@ -142,7 +142,7 @@ def test_ablate_runs_the_paradigm_axis(data_path, tmp_path, capsys):
            {"multi", "single_type", "single_stage"}
 
 
-def test_directory_given_as_a_file_exits_one(data_path, checkpoint, tmp_path, capsys):
+def test_directory_given_as_a_file_exits_one(data_path, tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path)] + TRAIN_FLAGS) == 1
     assert "error:" in capsys.readouterr().err
     rc = main(["export-embeddings", "--checkpoint", str(tmp_path),
