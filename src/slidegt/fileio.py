@@ -69,9 +69,13 @@ def _json_bytes(obj):
 
 def _parse_json(raw, offset):
     try:
-        return json.loads(raw.decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"bad JSON header: {exc}", offset=offset) from None
+    if not isinstance(header, dict):
+        raise ParseError(f"JSON header is not an object: {type(header).__name__}",
+                         offset=offset)
+    return header
 
 
 # ------------------------------------------------------------------- grids
@@ -194,11 +198,10 @@ def load_checkpoint(path):
     header, blobs = _read_container(path, CHECKPOINT_MAGIC)
     if header.get("kind") != "checkpoint" or "model" not in header:
         raise CheckpointError(f"not a model checkpoint: header {header}")
-    try:
-        config = ModelConfig.from_dict(header["model"])
-    except (KeyError, TypeError) as exc:
+    try:  # a whole-number float such as "dim": 4.0 passes validate, fails here
+        model = SlideGraphTransformer(ModelConfig.from_dict(header["model"]), seed=0)
+    except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"bad model config in checkpoint: {exc}") from None
-    model = SlideGraphTransformer(config, seed=0)
     params = model.parameters()
     expected = {name for name, _ in params}
     found = set(blobs)

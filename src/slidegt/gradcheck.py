@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import make_archetypes
+from .errors import ConfigError
 from .graph import FeatureGrid, build_graph
 from .losses import LossWeights
 from .model import BranchConfig, ModelConfig, SlideGraphTransformer
@@ -34,6 +35,8 @@ def relative_error(analytic, numeric, floor=1e-6):
 def build_check_model(nodes=12, dim=8, gcn_layers=2, heads=2, tokens=3,
                       keep=3, clusters=2, depth=1, seed=0):
     """A small random graph plus a model sized for exhaustive checking."""
+    if nodes < 1:
+        raise ConfigError(f"gradcheck needs at least one node, got {nodes}")
     rng = np.random.default_rng(seed)
     side = int(np.ceil(np.sqrt(nodes)))
     cells = np.zeros(side * side, dtype=bool)
@@ -60,6 +63,8 @@ def build_check_model(nodes=12, dim=8, gcn_layers=2, heads=2, tokens=3,
 def check_gradients(model, graph, labels, keep_override, step=1e-5,
                     weights=None):
     """Max relative error per parameter between backward and central FD."""
+    if not (np.isfinite(step) and step > 0.0):
+        raise ConfigError(f"finite-difference step must be finite and > 0, got {step}")
     weights = weights or LossWeights()
 
     def loss_value():

@@ -238,9 +238,9 @@ class SlideGraphTransformer:
 
         reuse is an earlier output of this model on this graph.  It skips the
         input projection, the GCN and every injection: branches whose pool
-        draws no random numbers copy their outputs from it, and drop branches
-        pool and read out its refined rows again, drawing from rng in branch
-        order as a full forward does.
+        draws no random numbers copy their outputs from it, and the others
+        (drop) pool and read out its refined rows again, drawing from rng in
+        branch order as a full forward does.
         """
         if graph.node_features.shape[1] != self.config.input_dim:
             raise ContractError(
@@ -258,7 +258,7 @@ class SlideGraphTransformer:
             out.refined[task] = refined
             if capture_embeddings:
                 out.embeddings[task] = refined.data.copy()
-            if reuse is not None and branch.pool.kind != "drop":
+            if reuse is not None and not branch.pool.draws:
                 logits = reuse.logits[task]
                 aux = {key: held[task] for key, held in
                        (("assignment", reuse.assignments), ("kept", reuse.kept))

@@ -1,15 +1,20 @@
 """Graph pooling operators behind one interface.
 
 Every pool maps node embeddings (n, d) to a fixed-size token matrix and
-returns ``(pooled, aux)``.  The two production pools are random node drop
-(typing branch) and adjacency-aware soft clustering (staging branch); the
-remaining kinds are minimal forms of published alternatives so an ablation
-harness can swap them without touching the model.
+returns ``(pooled, aux)``.  MulGT pools typing by random node drop and
+staging by adjacency-aware soft clustering (gcmincut); the other kinds are
+minimal forms of published alternatives for the ablations.  Eight kinds rest
+on three ideas, one class each:
 
-Only the adjacency-aware clustering pool publishes its soft assignment in
-``aux["assignment"]``; the clustering regularizer is applied exactly where
-that key is present.  Selection pools publish kept row indices under
-``aux["kept"]``.
+- ``SelectPool`` keeps node rows (drop, sort, topk, sag) and publishes their
+  indices under ``aux["kept"]``;
+- ``ClusterPool`` pools as Sᵀh through a soft assignment S (gcmincut, diff,
+  mincut); only gcmincut publishes S, as ``aux["assignment"]``, and the
+  clustering regularizer is applied exactly where that key is present;
+- ``GraphMultisetPool`` cross-attends trainable seed rows over the nodes (gm).
+
+``draws`` says whether a pool reads the rng it is handed.  Only drop does,
+so evaluation may reuse every other pool's output across drop seeds.
 """
 
 from __future__ import annotations
@@ -22,50 +27,74 @@ from .errors import ConfigError
 from .nn import glorot, normal_param
 
 POOL_KINDS = ("drop", "gcmincut", "sort", "topk", "sag", "diff", "mincut", "gm")
+SELECT_KINDS = ("drop", "sort", "topk", "sag")
+CLUSTER_KINDS = ("gcmincut", "diff", "mincut")
 
 
-class NodeDropPool:
-    """Keep a uniform random subset of node rows, original order preserved."""
+class SelectPool:
+    """Keep at most ``keep`` node rows.
 
-    kind = "drop"
+    drop keeps a uniform random subset in original row order.  The others
+    keep the highest-scoring rows in descending score order: sort scores by
+    the last feature channel, topk by a linear score h·w, and sag by its
+    adjacency-smoothed form Â(h·w).  The scorer ``w`` gets no gradient,
+    because hard selection is not differentiable in the scores.
+    """
 
-    def __init__(self, keep):
+    def __init__(self, kind, keep, rng=None, dim=None):
         if keep < 1:
-            raise ConfigError(f"drop pool must keep at least one node, got {keep}")
+            raise ConfigError(f"{kind} pool must keep at least one node, got {keep}")
+        self.kind = kind
         self.keep = keep
+        self.draws = kind == "drop"
+        self.w = glorot(rng, dim, 1) if kind in ("topk", "sag") else None
+
+    def _scores(self, h, norm_adj):
+        if self.kind == "sort":
+            return h.data[:, -1]
+        if self.kind == "topk":
+            return (h.data @ self.w.data)[:, 0]
+        return (norm_adj @ (h.data @ self.w.data))[:, 0]
 
     def __call__(self, h, norm_adj, rng):
-        n = h.shape[0]
-        k = min(self.keep, n)
-        kept = np.sort(rng.permutation(n)[:k])
+        k = min(self.keep, h.shape[0])
+        if self.draws:
+            kept = np.sort(rng.permutation(h.shape[0])[:k])
+        else:
+            kept = np.argsort(-self._scores(h, norm_adj), kind="stable")[:k]
         return T.take_rows(h, kept), {"kept": kept}
 
     def parameters(self, prefix):
-        return []
+        return [] if self.w is None else [(f"{prefix}.w", self.w)]
 
 
-class GcMinCutPool:
-    """Soft-cluster nodes with an adjacency-aware linear assignment.
+class ClusterPool:
+    """Soft-cluster nodes into ``clusters`` rows through an assignment S.
 
-    Assignment scores are norm_adj @ h @ w; by default a row softmax over
-    relu scores yields the cluster distribution per node (an all-zero relu row
-    softmaxes to uniform).  With ``assign_softmax=False`` the relu scores are
-    normalized by their row sums instead, with all-zero rows mapped to the
-    uniform distribution explicitly.
+    Scores are h·w, propagated as Â(h·w) except for mincut; gcmincut also
+    applies relu.  S is the row softmax of the scores (an all-zero relu row
+    softmaxes to uniform).  For gcmincut only, ``assign_softmax=False``
+    normalizes the relu scores by their row sums instead, with all-zero rows
+    mapped to the uniform distribution explicitly.
     """
 
-    kind = "gcmincut"
+    draws = False
 
-    def __init__(self, rng, dim, clusters, assign_softmax=True):
+    def __init__(self, kind, rng, dim, clusters, assign_softmax=True):
         if clusters < 1:
             raise ConfigError(f"cluster count must be >= 1, got {clusters}")
+        self.kind = kind
         self.clusters = clusters
-        self.assign_softmax = assign_softmax
+        self.relu_normalize = kind == "gcmincut" and not assign_softmax
         self.w = glorot(rng, dim, clusters)
 
     def assignment(self, h, norm_adj):
-        scores = T.relu(T.spmm(norm_adj, T.matmul(h, self.w)))
-        if self.assign_softmax:
+        scores = T.matmul(h, self.w)
+        if self.kind != "mincut":
+            scores = T.spmm(norm_adj, scores)
+        if self.kind == "gcmincut":
+            scores = T.relu(scores)
+        if not self.relu_normalize:
             return T.softmax_rows(scores)
         # plain row normalization; zero rows get a constant row -> uniform
         zero_rows = scores.data.sum(axis=1) == 0.0
@@ -79,103 +108,8 @@ class GcMinCutPool:
 
     def __call__(self, h, norm_adj, rng):
         s = self.assignment(h, norm_adj)
-        return T.matmul(T.transpose(s), h), {"assignment": s}
-
-    def parameters(self, prefix):
-        return [(f"{prefix}.w", self.w)]
-
-
-class SortPool:
-    """Keep the k rows with the largest last feature channel, sorted by it."""
-
-    kind = "sort"
-
-    def __init__(self, keep):
-        if keep < 1:
-            raise ConfigError(f"sort pool must keep at least one node, got {keep}")
-        self.keep = keep
-
-    def __call__(self, h, norm_adj, rng):
-        order = np.argsort(-h.data[:, -1], kind="stable")
-        kept = order[:min(self.keep, h.shape[0])]
-        return T.take_rows(h, kept), {"kept": kept}
-
-    def parameters(self, prefix):
-        return []
-
-
-class _ScoredSelectPool:
-    """Shared body for linear-scorer selection pools (top-k and its
-    adjacency-smoothed variant).  Rows come out in descending score order;
-    the scorer sees no gradient because hard selection is not differentiable
-    in the scores."""
-
-    def __init__(self, rng, dim, keep):
-        if keep < 1:
-            raise ConfigError(f"selection pool must keep at least one node, got {keep}")
-        self.keep = keep
-        self.w = glorot(rng, dim, 1)
-
-    def _scores(self, h, norm_adj):
-        raise NotImplementedError
-
-    def __call__(self, h, norm_adj, rng):
-        scores = self._scores(h, norm_adj)[:, 0]
-        order = np.argsort(-scores, kind="stable")
-        kept = order[:min(self.keep, h.shape[0])]
-        return T.take_rows(h, kept), {"kept": kept}
-
-    def parameters(self, prefix):
-        return [(f"{prefix}.w", self.w)]
-
-
-class TopKPool(_ScoredSelectPool):
-    kind = "topk"
-
-    def _scores(self, h, norm_adj):
-        return h.data @ self.w.data
-
-
-class SagPool(_ScoredSelectPool):
-    kind = "sag"
-
-    def _scores(self, h, norm_adj):
-        return norm_adj @ (h.data @ self.w.data)
-
-
-class DiffPool:
-    """Soft clustering with an adjacency-propagated softmax assignment."""
-
-    kind = "diff"
-
-    def __init__(self, rng, dim, clusters):
-        if clusters < 1:
-            raise ConfigError(f"cluster count must be >= 1, got {clusters}")
-        self.clusters = clusters
-        self.w = glorot(rng, dim, clusters)
-
-    def __call__(self, h, norm_adj, rng):
-        s = T.softmax_rows(T.spmm(norm_adj, T.matmul(h, self.w)))
-        return T.matmul(T.transpose(s), h), {}
-
-    def parameters(self, prefix):
-        return [(f"{prefix}.w", self.w)]
-
-
-class MinCutLinearPool:
-    """Soft clustering with a plain linear softmax assignment (no adjacency)."""
-
-    kind = "mincut"
-
-    def __init__(self, rng, dim, clusters):
-        if clusters < 1:
-            raise ConfigError(f"cluster count must be >= 1, got {clusters}")
-        self.clusters = clusters
-        self.w = glorot(rng, dim, clusters)
-
-    def __call__(self, h, norm_adj, rng):
-        s = T.softmax_rows(T.matmul(h, self.w))
-        return T.matmul(T.transpose(s), h), {}
+        aux = {"assignment": s} if self.kind == "gcmincut" else {}
+        return T.matmul(T.transpose(s), h), aux
 
     def parameters(self, prefix):
         return [(f"{prefix}.w", self.w)]
@@ -185,6 +119,7 @@ class GraphMultisetPool:
     """Trainable seed queries cross-attend the node set into k output rows."""
 
     kind = "gm"
+    draws = False
 
     def __init__(self, rng, dim, seeds, heads):
         if seeds < 1:
@@ -202,20 +137,10 @@ class GraphMultisetPool:
 
 def make_pool(kind, rng, dim, size, heads=1, assign_softmax=True):
     """Build a pool by kind name; ``size`` is the kept-node or cluster count."""
-    if kind == "drop":
-        return NodeDropPool(size)
-    if kind == "gcmincut":
-        return GcMinCutPool(rng, dim, size, assign_softmax)
-    if kind == "sort":
-        return SortPool(size)
-    if kind == "topk":
-        return TopKPool(rng, dim, size)
-    if kind == "sag":
-        return SagPool(rng, dim, size)
-    if kind == "diff":
-        return DiffPool(rng, dim, size)
-    if kind == "mincut":
-        return MinCutLinearPool(rng, dim, size)
+    if kind in SELECT_KINDS:
+        return SelectPool(kind, size, rng, dim)
+    if kind in CLUSTER_KINDS:
+        return ClusterPool(kind, rng, dim, size, assign_softmax)
     if kind == "gm":
         return GraphMultisetPool(rng, dim, size, heads)
     raise ConfigError(f"unknown pooling kind {kind!r}; expected one of {POOL_KINDS}")

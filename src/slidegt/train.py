@@ -152,7 +152,7 @@ def _train_model(cfg, model, graphs, samples, train_idx, run_seed, fold):
 
 
 def _model_has_random_pool(model):
-    return any(branch.pool.kind == "drop" for branch in model.branches.values())
+    return any(branch.pool.draws for branch in model.branches.values())
 
 
 def _append_scores(scores, out):

@@ -35,7 +35,7 @@ from slidegt.model import (BranchConfig, ModelConfig, SlideGraphTransformer,
                            TransformerHead)
 from slidegt.metrics import auc_score
 from slidegt.optim import Adam
-from slidegt.pooling import GcMinCutPool, NodeDropPool
+from slidegt.pooling import ClusterPool, SelectPool
 from slidegt.tensor import Tensor, backward, constant
 from slidegt.train import TrainConfig, run_training
 from test_losses import normalized, two_triangles
@@ -145,7 +145,8 @@ def test_criterion_2_equivariance_and_invariance():
     worst_c = 0.0
     for seed in range(10):
         g, rng = _random_graph(seed + 40)
-        pool = GcMinCutPool(np.random.default_rng(seed + 200), dim=6, clusters=3)
+        pool = ClusterPool("gcmincut", np.random.default_rng(seed + 200), dim=6,
+                           clusters=3)
         h = constant(g.node_features)
         perm = rng.permutation(g.n_nodes)
         base = pool(h, g.norm_adj, None)[0].data
@@ -238,7 +239,7 @@ def test_criterion_3_clustering_loss_properties():
 
 
 def test_criterion_4_drop_pool_statistics():
-    pool = NodeDropPool(keep=2)
+    pool = SelectPool("drop", keep=2)
     h = constant(np.random.default_rng(0).normal(0, 1, (4, 3)))
     adj = constant(np.eye(4))
     draws = 10_000

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from slidegt.cli import main
+from slidegt import fileio
 from slidegt.fileio import load_dataset, load_embeddings
+from test_fileio import write_non_object_header
 
 SYNTH = ["synth", "--samples", "8", "--rows", "10", "--cols", "10",
          "--dim", "4", "--seed", "3", "--radius", "1.0", "2.5",
@@ -78,6 +80,42 @@ def test_gradcheck_command_passes_on_a_tiny_model(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "worst relative error" in out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--nodes", "-1"], "gradcheck needs at least one node"),
+    (["--nodes", "0"], "gradcheck needs at least one node"),
+    (["--step", "0"], "finite-difference step must be finite and > 0"),
+    (["--step", "nan"], "finite-difference step must be finite and > 0"),
+], ids=["nodes-negative", "nodes-zero", "step-zero", "step-nan"])
+def test_gradcheck_rejects_bad_nodes_and_step(flags, message, capsys):
+    rc = main(["gradcheck", "--nodes", "6", "--dim", "4", "--gcn-layers", "1",
+               "--tokens", "2", "--keep", "2"] + flags)
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_non_object_dataset_header_exits_one(tmp_path, capsys):
+    path = tmp_path / "list_header.mgts"
+    write_non_object_header(path, fileio.DATASET_MAGIC)
+    rc = main(["train", "--data", str(path)] + TRAIN_FLAGS)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: JSON header is not an object" in err
+    assert "Traceback" not in err
+
+
+def test_checkpoint_with_a_bad_config_exits_one(data_path, checkpoint, tmp_path, capsys):
+    model = fileio.load_checkpoint(checkpoint)
+    model_dict = model.config.to_dict()
+    model_dict["heads"] = "a"
+    path = tmp_path / "bad.mgtc"
+    fileio._write_container(path, fileio.CHECKPOINT_MAGIC,
+                            {"kind": "checkpoint", "model": model_dict},
+                            [(n, p.data) for n, p in model.parameters()])
+    rc = main(["eval", "--checkpoint", str(path), "--data", str(data_path)])
+    assert rc == 1
+    assert "error: bad model config in checkpoint" in capsys.readouterr().err
 
 
 def test_unknown_pooling_kind_exits_one(data_path, capsys):

@@ -186,6 +186,52 @@ def test_checkpoint_with_wrong_kind_is_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def _set_model(key, value):
+    def mutate(model_dict):
+        model_dict[key] = value
+    return mutate
+
+
+def _set_branch_tokens(model_dict):
+    model_dict["branches"][0]["tokens"] = "3"
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_model("heads", "a"), _set_branch_tokens, _set_model("branches", []),
+    _set_model("dim", 4.5), _set_model("dim", 4.0),
+], ids=["heads-string", "tokens-string", "no-branches", "dim-fraction", "dim-float"])
+def test_checkpoint_with_bad_config_values_is_rejected(tmp_path, mutate):
+    model = trained_like_model()
+    model_dict = model.config.to_dict()
+    mutate(model_dict)
+    path = tmp_path / "bad.mgtc"
+    fileio._write_container(path, fileio.CHECKPOINT_MAGIC,
+                            {"kind": "checkpoint", "model": model_dict},
+                            [(n, p.data) for n, p in model.parameters()])
+    with pytest.raises(CheckpointError, match="bad model config"):
+        load_checkpoint(path)
+
+
+def write_non_object_header(path, magic):
+    """A container or dataset file whose JSON header is the list [1]."""
+    raw = b"[1]"
+    path.write_bytes(magic + struct.pack("<II", fileio.FORMAT_VERSION, len(raw)) + raw
+                     + struct.pack("<I", 0))
+
+
+@pytest.mark.parametrize("magic, reader", [
+    (fileio.DATASET_MAGIC, load_dataset),
+    (fileio.CHECKPOINT_MAGIC, load_checkpoint),
+    (fileio.EMBEDDINGS_MAGIC, load_embeddings),
+], ids=["dataset", "checkpoint", "embeddings"])
+def test_non_object_json_header_is_rejected(tmp_path, magic, reader):
+    path = tmp_path / "list_header.bin"
+    write_non_object_header(path, magic)
+    with pytest.raises(ParseError, match="JSON header is not an object") as exc:
+        reader(path)
+    assert exc.value.offset == 12  # the JSON header
+
+
 def test_checkpoint_version_gate(tmp_path):
     model = trained_like_model()
     path = tmp_path / "m.mgtc"

@@ -10,9 +10,8 @@ from conftest import assert_grads_match_fd
 from slidegt import tensor as T
 from slidegt.errors import ConfigError
 from slidegt.graph import build_graph
-from slidegt.pooling import (POOL_KINDS, DiffPool, GcMinCutPool, GraphMultisetPool,
-                             MinCutLinearPool, NodeDropPool, SagPool, SortPool,
-                             TopKPool, make_pool)
+from slidegt.pooling import (POOL_KINDS, ClusterPool, GraphMultisetPool, SelectPool,
+                             make_pool)
 from slidegt.tensor import Tensor, constant
 from test_graph import grid_from_mask
 
@@ -33,7 +32,7 @@ def eye_adj(n):
 def test_drop_keeps_everything_when_k_covers_n():
     rng = np.random.default_rng(0)
     h = rand_h(rng, 4, 3)
-    pool = NodeDropPool(keep=9)
+    pool = SelectPool("drop", keep=9)
     out, aux = pool(h, eye_adj(4), np.random.default_rng(1))
     assert_array_equal(out.data, h.data)  # original order preserved
     assert_array_equal(aux["kept"], [0, 1, 2, 3])
@@ -42,7 +41,7 @@ def test_drop_keeps_everything_when_k_covers_n():
 def test_drop_rows_keep_original_order():
     rng = np.random.default_rng(2)
     h = rand_h(rng, 10, 3)
-    pool = NodeDropPool(keep=4)
+    pool = SelectPool("drop", keep=4)
     out, aux = pool(h, eye_adj(10), np.random.default_rng(3))
     kept = aux["kept"]
     assert len(kept) == 4
@@ -53,7 +52,7 @@ def test_drop_rows_keep_original_order():
 def test_drop_is_deterministic_under_a_fixed_seed():
     rng = np.random.default_rng(4)
     h = rand_h(rng, 8, 2)
-    pool = NodeDropPool(keep=3)
+    pool = SelectPool("drop", keep=3)
     a = pool(h, eye_adj(8), np.random.default_rng(11))[1]["kept"]
     b = pool(h, eye_adj(8), np.random.default_rng(11))[1]["kept"]
     assert_array_equal(a, b)
@@ -61,7 +60,7 @@ def test_drop_is_deterministic_under_a_fixed_seed():
 
 def test_drop_subsets_are_uniform_chi_squared():
     # all 6 two-element subsets of 4 nodes should be equally likely
-    pool = NodeDropPool(keep=2)
+    pool = SelectPool("drop", keep=2)
     h = rand_h(np.random.default_rng(5), 4, 2)
     adj = eye_adj(4)
     counts = {frozenset(c): 0 for c in itertools.combinations(range(4), 2)}
@@ -78,7 +77,7 @@ def test_drop_subsets_are_uniform_chi_squared():
 
 def test_drop_marked_node_retention_matches_hypergeometric_mean():
     # 4 nodes, 2 marked, keep 2: expected marked survivors = 1
-    pool = NodeDropPool(keep=2)
+    pool = SelectPool("drop", keep=2)
     h = rand_h(np.random.default_rng(6), 4, 2)
     adj = eye_adj(4)
     marked = {0, 1}
@@ -109,7 +108,7 @@ def test_gcmincut_matches_numpy_oracle(seed):
     n = g.n_nodes
     if n == 0:
         return
-    pool = GcMinCutPool(np.random.default_rng(seed + 1), dim=5, clusters=3)
+    pool = ClusterPool("gcmincut", np.random.default_rng(seed + 1), dim=5, clusters=3)
     h = rand_h(rng, n, 5)
     out, aux = pool(h, g.norm_adj, None)
     s_ref, pooled_ref = reference_gcmincut(g.norm_adj @ np.eye(n), h.data,
@@ -122,8 +121,8 @@ def test_gcmincut_matches_numpy_oracle(seed):
 def test_gcmincut_relu_normalized_variant():
     rng = np.random.default_rng(7)
     n, d, p = 4, 3, 2
-    pool = GcMinCutPool(np.random.default_rng(8), dim=d, clusters=p,
-                        assign_softmax=False)
+    pool = ClusterPool("gcmincut", np.random.default_rng(8), dim=d, clusters=p,
+                       assign_softmax=False)
     h = rand_h(rng, n, d)
     adj = eye_adj(n)
     s = pool.assignment(h, adj).data
@@ -140,8 +139,8 @@ def test_gcmincut_zero_rows_become_uniform_in_both_variants():
     h = constant(np.zeros((n, d)))
     adj = eye_adj(n)
     for assign_softmax in (True, False):
-        pool = GcMinCutPool(np.random.default_rng(9), dim=d, clusters=p,
-                            assign_softmax=assign_softmax)
+        pool = ClusterPool("gcmincut", np.random.default_rng(9), dim=d, clusters=p,
+                           assign_softmax=assign_softmax)
         s = pool.assignment(h, adj).data
         assert_allclose(s, np.full((n, p), 1.0 / p), atol=1e-12)
 
@@ -150,7 +149,7 @@ def test_gcmincut_gradients_match_fd():
     rng = np.random.default_rng(10)
     g = build_graph(grid_from_mask([[True, True], [True, False]], dim=3, seed=1))
     h = rand_h(rng, 3, 3, grad=True)
-    pool = GcMinCutPool(np.random.default_rng(11), dim=3, clusters=2)
+    pool = ClusterPool("gcmincut", np.random.default_rng(11), dim=3, clusters=2)
     c = constant(rng.normal(0, 1, (2, 3)))
     adj = g.norm_adj
     assert_grads_match_fd(
@@ -162,7 +161,7 @@ def test_gcmincut_gradients_match_fd():
 
 def test_topk_returns_rows_in_score_order():
     h = constant(np.array([[0.0, 1.0], [0.0, 3.0], [0.0, 2.0]]))
-    pool = TopKPool(np.random.default_rng(0), dim=2, keep=2)
+    pool = SelectPool("topk", keep=2, rng=np.random.default_rng(0), dim=2)
     pool.w.data[...] = np.array([[0.0], [1.0]])  # score = second channel
     out, aux = pool(h, eye_adj(3), None)
     assert_array_equal(aux["kept"], [1, 2])
@@ -171,7 +170,7 @@ def test_topk_returns_rows_in_score_order():
 
 def test_sort_orders_by_last_channel():
     h = constant(np.array([[9.0, 1.0], [8.0, 3.0], [7.0, 2.0]]))
-    pool = SortPool(keep=2)
+    pool = SelectPool("sort", keep=2)
     out, aux = pool(h, eye_adj(3), None)
     assert_array_equal(aux["kept"], [1, 2])
     assert_array_equal(out.data, [[8.0, 3.0], [7.0, 2.0]])
@@ -184,8 +183,8 @@ def test_sag_equals_topk_when_adjacency_degenerates():
     assert_array_equal(g.norm_adj @ np.eye(3), np.eye(3))
     rng = np.random.default_rng(12)
     h = rand_h(rng, 3, 3)
-    topk = TopKPool(np.random.default_rng(13), dim=3, keep=2)
-    sag = SagPool(np.random.default_rng(14), dim=3, keep=2)
+    topk = SelectPool("topk", keep=2, rng=np.random.default_rng(13), dim=3)
+    sag = SelectPool("sag", keep=2, rng=np.random.default_rng(14), dim=3)
     sag.w.data[...] = topk.w.data
     adj = g.norm_adj
     out_a, aux_a = topk(h, adj, None)
@@ -197,7 +196,7 @@ def test_sag_equals_topk_when_adjacency_degenerates():
 def test_diff_with_one_cluster_is_column_sum():
     rng = np.random.default_rng(15)
     h = rand_h(rng, 5, 3)
-    pool = DiffPool(np.random.default_rng(16), dim=3, clusters=1)
+    pool = ClusterPool("diff", np.random.default_rng(16), dim=3, clusters=1)
     out, _ = pool(h, eye_adj(5), None)
     assert_allclose(out.data, h.data.sum(axis=0, keepdims=True), atol=1e-12)
 
@@ -205,7 +204,7 @@ def test_diff_with_one_cluster_is_column_sum():
 def test_mincut_linear_matches_softmax_oracle():
     rng = np.random.default_rng(17)
     h = rand_h(rng, 4, 3)
-    pool = MinCutLinearPool(np.random.default_rng(18), dim=3, clusters=2)
+    pool = ClusterPool("mincut", np.random.default_rng(18), dim=3, clusters=2)
     scores = h.data @ pool.w.data
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     s = e / e.sum(axis=1, keepdims=True)
@@ -230,9 +229,9 @@ def test_gm_shapes_and_gradients():
 def test_selection_pools_clamp_to_node_count():
     rng = np.random.default_rng(21)
     h = rand_h(rng, 2, 3)
-    for pool in (NodeDropPool(5), SortPool(5),
-                 TopKPool(np.random.default_rng(22), 3, 5),
-                 SagPool(np.random.default_rng(23), 3, 5)):
+    for pool in (SelectPool("drop", 5), SelectPool("sort", 5),
+                 SelectPool("topk", 5, np.random.default_rng(22), 3),
+                 SelectPool("sag", 5, np.random.default_rng(23), 3)):
         out, aux = pool(h, eye_adj(2), np.random.default_rng(0))
         assert out.shape[0] == 2
         assert len(aux["kept"]) == 2
@@ -241,9 +240,9 @@ def test_selection_pools_clamp_to_node_count():
 def test_make_pool_dispatches_and_rejects_unknown():
     rng = np.random.default_rng(24)
     kinds = {
-        "drop": NodeDropPool, "gcmincut": GcMinCutPool, "sort": SortPool,
-        "topk": TopKPool, "sag": SagPool, "diff": DiffPool,
-        "mincut": MinCutLinearPool, "gm": GraphMultisetPool,
+        "drop": SelectPool, "gcmincut": ClusterPool, "sort": SelectPool,
+        "topk": SelectPool, "sag": SelectPool, "diff": ClusterPool,
+        "mincut": ClusterPool, "gm": GraphMultisetPool,
     }
     for kind, cls in kinds.items():
         pool = make_pool(kind, rng, dim=4, size=2, heads=2)
@@ -255,13 +254,18 @@ def test_make_pool_dispatches_and_rejects_unknown():
         make_pool("drop", rng, dim=4, size=0)
 
 
-@pytest.mark.parametrize("kind", [k for k in POOL_KINDS if k != "drop"])
+@pytest.mark.parametrize("kind", POOL_KINDS)
 def test_only_drop_pool_reads_its_rng(kind):
-    # evaluation reuses a non-drop branch's output across drop seeds, which
-    # is only sound when the pool ignores the rng it is handed
+    # evaluation reuses the output of a pool that does not draw across drop
+    # seeds, which is only sound when that pool ignores the rng it is handed
     g = build_graph(grid_from_mask(np.random.default_rng(25).random((4, 4)) < 0.8))
     h = rand_h(np.random.default_rng(26), g.n_nodes, 4)
     pool = make_pool(kind, np.random.default_rng(27), dim=4, size=3, heads=2)
+    assert pool.draws == (kind == "drop")
+    if pool.draws:
+        a, b = (pool(h, g.norm_adj, np.random.default_rng(s))[1]["kept"] for s in (1, 2))
+        assert not np.array_equal(a, b)
+        return
     runs = [pool(h, g.norm_adj, rng) for rng in
             (None, np.random.default_rng(1), np.random.default_rng(2))]
     for out, aux in runs[1:]:
@@ -270,3 +274,17 @@ def test_only_drop_pool_reads_its_rng(kind):
         for key, value in aux.items():
             ref = runs[0][1][key]
             assert_array_equal(getattr(value, "data", value), getattr(ref, "data", ref))
+
+
+@pytest.mark.parametrize("kind", ["diff", "mincut"])
+def test_relu_normalized_assignment_reaches_gcmincut_only(kind):
+    g = build_graph(grid_from_mask(np.random.default_rng(28).random((4, 4)) < 0.8))
+    h = rand_h(np.random.default_rng(29), g.n_nodes, 4)
+    outs = [make_pool(kind, np.random.default_rng(30), dim=4, size=3,
+                      assign_softmax=flag)(h, g.norm_adj, None)[0].data
+            for flag in (True, False)]
+    assert_array_equal(outs[0], outs[1])
+    gcmincut = [make_pool("gcmincut", np.random.default_rng(30), dim=4, size=3,
+                          assign_softmax=flag)(h, g.norm_adj, None)[0].data
+                for flag in (True, False)]
+    assert not np.array_equal(gcmincut[0], gcmincut[1])
