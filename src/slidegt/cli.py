@@ -21,6 +21,7 @@ from .gradcheck import build_check_model, check_gradients
 from .graph import build_graph
 from .losses import LossWeights
 from .model import BranchConfig, ModelConfig
+from .tensor import no_grad
 from .train import (ABLATION_AXES, PARADIGMS, TrainConfig, evaluate,
                     format_summary, run_ablation, run_training)
 
@@ -210,11 +211,11 @@ def _add_gradcheck(sub):
 
 
 def _cmd_gradcheck(args):
-    model, graph, labels, keep_override = build_check_model(
+    model, graph, labels = build_check_model(
         nodes=args.nodes, dim=args.dim, gcn_layers=args.gcn_layers,
         heads=args.heads, tokens=args.tokens, keep=args.keep,
         clusters=args.clusters, depth=args.depth, seed=args.seed)
-    result = check_gradients(model, graph, labels, keep_override, step=args.step)
+    result = check_gradients(model, graph, labels, step=args.step)
     for name, err in result.per_param:
         print(f"{name:<40} {err:.3e}")
     ok = result.worst < args.tol
@@ -254,11 +255,10 @@ def _cmd_export(args):
             raise ConfigError(f"sample id {sid} is given more than once")
         seen.add(sid)
     entries = []
-    for sid in ids:
-        out = model.forward(build_graph(by_id[sid].grid), np.random.default_rng(0),
-                            capture_embeddings=True)
-        for task, arr in out.embeddings.items():
-            entries.append((sid, task, arr))
+    with no_grad():
+        for sid in ids:
+            out = model.forward(build_graph(by_id[sid].grid), np.random.default_rng(0))
+            entries += [(sid, task, rows.data) for task, rows in out.refined.items()]
     save_embeddings(args.out, model.config, entries)
     print(f"wrote {len(entries)} embedding blocks for {len(ids)} samples to {args.out}")
     return 0

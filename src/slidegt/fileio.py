@@ -2,10 +2,11 @@
 
 All integers are little-endian.  Grid blobs ("MGT1") carry the occupancy
 bitmap (row-major cells, LSB-first within each byte) and float32 features per
-occupied cell.  Checkpoints ("MGTC") and embedding dumps ("MGTE") share one
-container layout: a JSON header followed by length-prefixed named float64
-blobs.  Dataset files ("MGTS") embed one MGT1 blob per sample plus labels,
-fold ids, and tumor masks.
+occupied cell.  Checkpoints ("MGTC"), embedding dumps ("MGTE") and datasets
+("MGTS") share one framing: magic, u32 format version, u32 header length and
+a JSON header.  Checkpoints and embedding dumps follow it with length-prefixed
+named float64 blobs; datasets with one tumor mask and one MGT1 blob per
+sample (labels and fold ids sit in the header).
 
 Readers parse fully in memory and validate before returning anything, so a
 truncated or corrupt file is rejected outright; error messages name the byte
@@ -130,30 +131,19 @@ def grid_from_bytes(buf):
                        occupancy=cells.reshape(rows, cols), features=features)
 
 
-# -------------------------------------------------- named-blob containers
+# ------------------------------------------------------------------ framing
 
 
-def _write_container(path, magic, header, blobs):
-    out = bytearray()
-    out += magic
-    out += struct.pack("<I", FORMAT_VERSION)
+def _write_framed(path, magic, header, body):
+    """Write magic, u32 version, u32 header length, JSON header, then body."""
     header_raw = _json_bytes(header)
-    out += struct.pack("<I", len(header_raw))
-    out += header_raw
-    out += struct.pack("<I", len(blobs))
-    for name, arr in blobs:
-        raw_name = name.encode("utf-8")
-        arr = np.asarray(arr, dtype=np.float64)
-        out += struct.pack("<H", len(raw_name))
-        out += raw_name
-        out += struct.pack("<B", arr.ndim)
-        out += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
-        out += arr.astype("<f8").tobytes()
     with open(path, "wb") as fh:
-        fh.write(bytes(out))
+        fh.write(magic + struct.pack("<II", FORMAT_VERSION, len(header_raw)) + header_raw)
+        fh.write(body)
 
 
-def _read_container(path, magic):
+def _read_framed(path, magic):
+    """Check a file's framing; returns (reader past the header, header, header offset)."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
     r.expect_magic(magic)
@@ -163,6 +153,27 @@ def _read_container(path, magic):
     header_len = r.u32("header length")
     header_at = r.pos
     header = _parse_json(r.take(header_len, "JSON header"), header_at)
+    return r, header, header_at
+
+
+# -------------------------------------------------- named-blob containers
+
+
+def _write_container(path, magic, header, blobs):
+    out = bytearray(struct.pack("<I", len(blobs)))
+    for name, arr in blobs:
+        raw_name = name.encode("utf-8")
+        arr = np.asarray(arr, dtype=np.float64)
+        out += struct.pack("<H", len(raw_name))
+        out += raw_name
+        out += struct.pack("<B", arr.ndim)
+        out += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
+        out += arr.astype("<f8").tobytes()
+    _write_framed(path, magic, header, out)
+
+
+def _read_container(path, magic):
+    r, header, _ = _read_framed(path, magic)
     n_blobs = r.u32("blob count")
     blobs = {}
     for _ in range(n_blobs):
@@ -198,7 +209,7 @@ def load_checkpoint(path):
     header, blobs = _read_container(path, CHECKPOINT_MAGIC)
     if header.get("kind") != "checkpoint" or "model" not in header:
         raise CheckpointError(f"not a model checkpoint: header {header}")
-    try:  # a whole-number float such as "dim": 4.0 passes validate, fails here
+    try:  # from_dict raises KeyError or TypeError on a missing, unknown or non-dict field
         model = SlideGraphTransformer(ModelConfig.from_dict(header["model"]), seed=0)
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"bad model config in checkpoint: {exc}") from None
@@ -247,13 +258,7 @@ def save_dataset(dataset, path):
              "fold": int(dataset.folds[i])}
             for i, s in enumerate(dataset.samples)]
     header = {"kind": "dataset", "spec": dataset.spec.to_dict(), "samples": meta}
-    out = bytearray()
-    out += DATASET_MAGIC
-    out += struct.pack("<I", FORMAT_VERSION)
-    header_raw = _json_bytes(header)
-    out += struct.pack("<I", len(header_raw))
-    out += header_raw
-    out += struct.pack("<I", len(dataset.samples))
+    out = bytearray(struct.pack("<I", len(dataset.samples)))
     for sample in dataset.samples:
         mask_bytes = np.packbits(sample.tumor_mask, bitorder="little").tobytes()
         grid_bytes = grid_to_bytes(sample.grid)
@@ -261,8 +266,7 @@ def save_dataset(dataset, path):
         out += mask_bytes
         out += struct.pack("<I", len(grid_bytes))
         out += grid_bytes
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
+    _write_framed(path, DATASET_MAGIC, header, out)
 
 
 def _check_sample_meta(meta, spec, offset):
@@ -283,15 +287,7 @@ def _check_sample_meta(meta, spec, offset):
 
 
 def load_dataset(path):
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read())
-    r.expect_magic(DATASET_MAGIC)
-    version_at, version = r.pos, r.u32("format version")
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {version}", offset=version_at)
-    header_len = r.u32("header length")
-    header_at = r.pos
-    header = _parse_json(r.take(header_len, "JSON header"), header_at)
+    r, header, header_at = _read_framed(path, DATASET_MAGIC)
     if header.get("kind") != "dataset":
         raise ParseError(f"not a dataset file: header kind {header.get('kind')!r}",
                          offset=header_at)

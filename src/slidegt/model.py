@@ -3,8 +3,11 @@
 A forward pass runs one shared GCN over the tile graph, then per task:
 latent-token injection, task-specific pooling, and a small pre-norm
 transformer read out through a CLS row into an MLP over the class logits.
-Branches are independent except for the shared encoder (and, optionally, a
-shared token bank), so single-task models are just one-branch configs.
+``SlideGraphTransformer.forward(graph, rng, reuse=None)`` is the one way
+through the model; it returns each task's logits, its pool's aux dict and its
+post-injection node rows.  Branches are independent except for the shared
+encoder (and, optionally, a shared token bank), so single-task models are
+just one-branch configs.
 """
 
 from __future__ import annotations
@@ -20,9 +23,16 @@ from .gcn import GcnStack
 from .injection import InjectionBlock, TokenBank
 from .nn import FeedForward, LayerNorm, Linear, normal_param
 from .pooling import POOL_KINDS, make_pool
-from .tensor import Tensor
 
 TASKS = ("typing", "staging")
+
+
+def _check_ints(config, names, owner):
+    """Reject non-int fields (a JSON 4.0 included) before any comparison."""
+    for name in names:
+        value = getattr(config, name)
+        if type(value) is not int:
+            raise ConfigError(f"{owner} field {name!r} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +46,7 @@ class BranchConfig:
     pool_size: int = 100
 
     def validate(self):
+        _check_ints(self, ("classes", "tokens", "pool_size"), f"task {self.task!r}")
         if self.classes < 2:
             raise ConfigError(f"task {self.task!r} needs >= 2 classes")
         if self.pooling not in POOL_KINDS:
@@ -67,6 +78,8 @@ class ModelConfig:
     branches: tuple = field(default_factory=default_branches)
 
     def validate(self):
+        _check_ints(self, ("input_dim", "dim", "gcn_layers", "heads", "transformer_depth"),
+                    "model")
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.dim < 2:
@@ -168,25 +181,11 @@ class Branch:
         params += self.head.parameters(f"{prefix}.head")
         return params
 
-    def readout(self, refined, norm_adj, rng, kept=None):
-        """Pool the injected node rows and read out ``(logits, aux)``.
-
-        ``kept`` pins the pooled rows, bypassing the pool and its rng.
-        """
-        if kept is not None:
-            kept = np.asarray(kept, dtype=np.intp)
-            pooled, aux = T.take_rows(refined, kept), {"kept": kept}
-        else:
-            pooled, aux = self.pool(refined, norm_adj, rng)
-        return self.head(pooled), aux
-
 
 @dataclass
 class ForwardOut:
     logits: dict          # task -> (1, classes) tensor
-    assignments: dict     # task -> (n, p) soft assignment tensor, when present
-    kept: dict            # task -> kept node indices, when present
-    embeddings: dict      # task -> (n, dim) array copies, when captured
+    aux: dict             # task -> the pool's aux dict ("kept" or "assignment")
     refined: dict         # task -> (n, dim) post-injection tensor
 
 
@@ -229,48 +228,33 @@ class SlideGraphTransformer:
         for _, p in self._params:
             p.grad[...] = 0.0
 
-    def forward(self, graph, rng, keep_override=None, capture_embeddings=False,
-                reuse=None):
-        """Run all branches on one tile graph.
-
-        rng drives random pooling; keep_override (task -> index array) pins
-        kept rows for drop-style pools, bypassing rng for that task.
+    def forward(self, graph, rng, reuse=None):
+        """Run all branches on one tile graph; rng drives random pooling.
 
         reuse is an earlier output of this model on this graph.  It skips the
         input projection, the GCN and every injection: branches whose pool
-        draws no random numbers copy their outputs from it, and the others
-        (drop) pool and read out its refined rows again, drawing from rng in
-        branch order as a full forward does.
+        draws no random numbers copy their logits and aux from it, and the
+        others (drop) pool and read out its refined rows again, drawing from
+        rng in branch order as a full forward does.
         """
         if graph.node_features.shape[1] != self.config.input_dim:
             raise ContractError(
                 f"graph features have width {graph.node_features.shape[1]}, "
                 f"model expects {self.config.input_dim}")
-        keep_override = keep_override or {}
         if reuse is None:
             h = T.constant(graph.node_features)
             if self.input_proj is not None:
                 h = self.input_proj(h)
             h = self.gcn(h, graph.norm_adj)
-        out = ForwardOut(logits={}, assignments={}, kept={}, embeddings={}, refined={})
+        out = ForwardOut(logits={}, aux={}, refined={})
         for task, branch in self.branches.items():
             refined = branch.inject(h, branch.bank) if reuse is None else reuse.refined[task]
             out.refined[task] = refined
-            if capture_embeddings:
-                out.embeddings[task] = refined.data.copy()
             if reuse is not None and not branch.pool.draws:
-                logits = reuse.logits[task]
-                aux = {key: held[task] for key, held in
-                       (("assignment", reuse.assignments), ("kept", reuse.kept))
-                       if task in held}
+                out.logits[task], out.aux[task] = reuse.logits[task], reuse.aux[task]
             else:
-                logits, aux = branch.readout(refined, graph.norm_adj, rng,
-                                             keep_override.get(task))
-            out.logits[task] = logits
-            if "assignment" in aux:
-                out.assignments[task] = aux["assignment"]
-            if "kept" in aux:
-                out.kept[task] = aux["kept"]
+                pooled, out.aux[task] = branch.pool(refined, graph.norm_adj, rng)
+                out.logits[task] = branch.head(pooled)
         return out
 
 

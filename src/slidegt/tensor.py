@@ -321,15 +321,6 @@ def relu(a):
     return _result(np.where(mask, a.data, 0.0), (a,), back)
 
 
-def tanh(a):
-    out_data = np.tanh(a.data)
-
-    def back(g):
-        return [(a, g * (1.0 - out_data * out_data))]
-
-    return _result(out_data, (a,), back)
-
-
 def sqrt(a):
     out_data = np.sqrt(a.data)
 

@@ -120,9 +120,10 @@ def assemble_loss(out, graph, labels_by_task, weights):
         for task, logits in out.logits.items()
     }
     mincut_total = None
-    for s in out.assignments.values():
-        term = mincut_loss(s, graph.norm_adj, graph.deg_tilde).total
-        mincut_total = term if mincut_total is None else mincut_total + term
+    for aux in out.aux.values():
+        if "assignment" in aux:
+            term = mincut_loss(aux["assignment"], graph.norm_adj, graph.deg_tilde).total
+            mincut_total = term if mincut_total is None else mincut_total + term
     return total_loss(task_losses, mincut_total, weights)
 
 

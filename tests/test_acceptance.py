@@ -92,10 +92,10 @@ def multi_report(bench_ds):
 
 def test_criterion_1_gradient_audit():
     start = time.monotonic()
-    model, graph, labels, keep = build_check_model(
+    model, graph, labels = build_check_model(
         nodes=12, dim=8, gcn_layers=2, heads=2, tokens=3, keep=3, clusters=2,
         depth=1)
-    result = check_gradients(model, graph, labels, keep, step=1e-5)
+    result = check_gradients(model, graph, labels, step=1e-5)
     elapsed = time.monotonic() - start
     ok = result.worst < 1e-4 and elapsed < 60.0
     report(1, ok,

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from slidegt.cli import main
 from slidegt import fileio
 from slidegt.fileio import load_dataset, load_embeddings
+from slidegt.graph import build_graph
 from test_fileio import write_non_object_header
 
 SYNTH = ["synth", "--samples", "8", "--rows", "10", "--cols", "10",
@@ -72,6 +74,23 @@ def test_full_pipeline_train_eval_export(data_path, tmp_path, capsys):
     assert blobs["sample_00003/staging"].shape[1] == 4  # model width
 
 
+def test_exported_embeddings_equal_the_refined_rows_of_a_forward(data_path, checkpoint,
+                                                                 tmp_path):
+    emb_path = tmp_path / "emb.mgte"
+    assert main(["export-embeddings", "--checkpoint", str(checkpoint),
+                 "--data", str(data_path), "--out", str(emb_path),
+                 "--samples", "1", "4"]) == 0
+    _, blobs = load_embeddings(emb_path)
+    model = fileio.load_checkpoint(checkpoint)
+    by_id = {s.sample_id: s for s in load_dataset(data_path).samples}
+    assert len(blobs) == 2 * len(model.branches)
+    for sid in (1, 4):
+        out = model.forward(build_graph(by_id[sid].grid), np.random.default_rng(0))
+        for task in model.branches:
+            assert np.array_equal(blobs[f"sample_{sid:05d}/{task}"],
+                                  out.refined[task].data)
+
+
 def test_gradcheck_command_passes_on_a_tiny_model(capsys):
     rc = main(["gradcheck", "--nodes", "6", "--dim", "4", "--gcn-layers", "1",
                "--heads", "2", "--tokens", "2", "--keep", "2",
@@ -105,17 +124,33 @@ def test_non_object_dataset_header_exits_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_checkpoint_with_a_bad_config_exits_one(data_path, checkpoint, tmp_path, capsys):
+def eval_with_config(checkpoint, data_path, tmp_path, mutate):
+    """Run ``slidegt eval`` on a copy of checkpoint whose model dict is mutated."""
     model = fileio.load_checkpoint(checkpoint)
     model_dict = model.config.to_dict()
-    model_dict["heads"] = "a"
+    mutate(model_dict)
     path = tmp_path / "bad.mgtc"
     fileio._write_container(path, fileio.CHECKPOINT_MAGIC,
                             {"kind": "checkpoint", "model": model_dict},
                             [(n, p.data) for n, p in model.parameters()])
-    rc = main(["eval", "--checkpoint", str(path), "--data", str(data_path)])
+    return main(["eval", "--checkpoint", str(path), "--data", str(data_path)])
+
+
+def test_checkpoint_with_a_bad_config_exits_one(data_path, checkpoint, tmp_path, capsys):
+    rc = eval_with_config(checkpoint, data_path, tmp_path,
+                          lambda d: d.update(heads="a"))
     assert rc == 1
     assert "error: bad model config in checkpoint" in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_float_pool_size_exits_one(data_path, checkpoint, tmp_path,
+                                                     capsys):
+    rc = eval_with_config(checkpoint, data_path, tmp_path,
+                          lambda d: d["branches"][0].update(pool_size=4.0))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: bad model config in checkpoint" in err and "'pool_size'" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_pooling_kind_exits_one(data_path, capsys):

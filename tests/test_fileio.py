@@ -196,10 +196,15 @@ def _set_branch_tokens(model_dict):
     model_dict["branches"][0]["tokens"] = "3"
 
 
+def _set_branch_pool_size(model_dict):
+    model_dict["branches"][0]["pool_size"] = 4.0
+
+
 @pytest.mark.parametrize("mutate", [
     _set_model("heads", "a"), _set_branch_tokens, _set_model("branches", []),
-    _set_model("dim", 4.5), _set_model("dim", 4.0),
-], ids=["heads-string", "tokens-string", "no-branches", "dim-fraction", "dim-float"])
+    _set_model("dim", 4.5), _set_model("dim", 4.0), _set_branch_pool_size,
+], ids=["heads-string", "tokens-string", "no-branches", "dim-fraction", "dim-float",
+        "pool-size-float"])
 def test_checkpoint_with_bad_config_values_is_rejected(tmp_path, mutate):
     model = trained_like_model()
     model_dict = model.config.to_dict()

@@ -1,4 +1,4 @@
-import numpy as np
+from numpy.testing import assert_array_equal
 
 from slidegt.gradcheck import (build_check_model, check_gradients,
                                relative_error)
@@ -11,9 +11,9 @@ def test_relative_error_floor_damps_tiny_denominators():
 
 
 def test_check_covers_every_parameter_once():
-    model, graph, labels, keep = build_check_model(
+    model, graph, labels = build_check_model(
         nodes=6, dim=4, gcn_layers=1, heads=2, tokens=2, keep=2, clusters=2)
-    result = check_gradients(model, graph, labels, keep)
+    result = check_gradients(model, graph, labels)
     names = [n for n, _ in result.per_param]
     assert names == [n for n, _ in model.parameters()]
     assert result.worst == max(err for _, err in result.per_param)
@@ -26,12 +26,26 @@ def test_fixture_is_deterministic_and_pinned():
     b = build_check_model(nodes=6, dim=4, gcn_layers=1, heads=2, tokens=2,
                           keep=2, clusters=2, seed=5)
     assert a[2] == b[2]
-    assert np.array_equal(a[3]["typing"], b[3]["typing"])
     assert (a[1].node_features == b[1].node_features).all()
+
+    model, graph, labels = a
+    kept = []
+    forward = model.forward
+
+    def recording_forward(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        kept.append(out.aux["typing"]["kept"])
+        return out
+
+    model.forward = recording_forward
+    check_gradients(model, graph, labels)
+    assert len(kept) > 2
+    for other in kept[1:]:  # every loss evaluation keeps the same rows
+        assert_array_equal(other, kept[0])
 
 
 def test_tiny_model_passes_at_tolerance():
-    model, graph, labels, keep = build_check_model(
+    model, graph, labels = build_check_model(
         nodes=6, dim=4, gcn_layers=1, heads=2, tokens=2, keep=2, clusters=2)
-    result = check_gradients(model, graph, labels, keep)
+    result = check_gradients(model, graph, labels)
     assert result.worst < 1e-4

@@ -48,29 +48,30 @@ def test_forward_shapes_and_aux():
     assert set(out.logits) == {"typing", "staging"}
     for task in out.logits:
         assert out.logits[task].shape == (1, 2)
-    assert set(out.assignments) == {"staging"}
-    assert out.assignments["staging"].shape == (g.n_nodes, 2)
-    assert set(out.kept) == {"typing"}
-    assert len(out.kept["typing"]) == min(4, g.n_nodes)
+    assert set(out.aux) == {"typing", "staging"}
+    assert set(out.aux["staging"]) == {"assignment"}
+    assert out.aux["staging"]["assignment"].shape == (g.n_nodes, 2)
+    assert set(out.aux["typing"]) == {"kept"}
+    assert len(out.aux["typing"]["kept"]) == min(4, g.n_nodes)
 
 
 def test_capture_embeddings_returns_refined_node_matrices():
     model = SlideGraphTransformer(small_config(), seed=5)
     g = small_graph(6)
-    out = model.forward(g, np.random.default_rng(0), capture_embeddings=True)
+    out = model.forward(g, np.random.default_rng(0))
     for task in ("typing", "staging"):
-        emb = out.embeddings[task]
+        emb = out.refined[task].data
         assert emb.shape == (g.n_nodes, 8)
         assert np.isfinite(emb).all()
-    assert not np.array_equal(out.embeddings["typing"],
-                              out.embeddings["staging"])
+    assert not np.array_equal(out.refined["typing"].data,
+                              out.refined["staging"].data)
 
 
 def test_logits_are_invariant_to_node_relabeling():
     """Permuting grid traversal order must not change either head.
 
-    The clustering branch is deterministic; the drop branch is pinned to the
-    same physical nodes on both sides via keep_override.
+    The clustering branch is deterministic; the drop branch keeps rows * cols
+    rows, so both labelings pool every physical node.
     """
     rng = np.random.default_rng(7)
     rows, cols = 3, 4
@@ -84,15 +85,14 @@ def test_logits_are_invariant_to_node_relabeling():
     gt = build_graph(FeatureGrid(cols, rows, mask.T, np.zeros((n, 5))))
     cells = np.argwhere(mask)
     perm = np.lexsort((cells[:, 0], cells[:, 1]))  # col-major visit order
-    inv = np.empty(n, dtype=np.intp)
-    inv[perm] = np.arange(n)
     gt = build_graph(FeatureGrid(cols, rows, mask.T, feats[perm]))
 
-    model = SlideGraphTransformer(small_config(), seed=8)
-    kept = np.array([0, 2])
-    out_a = model.forward(g, None, keep_override={"typing": kept})
-    kept_t = np.sort(inv[kept])
-    out_b = model.forward(gt, None, keep_override={"typing": kept_t})
+    model = SlideGraphTransformer(small_config(branches=(
+        BranchConfig(task="typing", pooling="drop", tokens=3, pool_size=rows * cols),
+        BranchConfig(task="staging", pooling="gcmincut", tokens=3, pool_size=2),
+    )), seed=8)
+    out_a = model.forward(g, np.random.default_rng(0))
+    out_b = model.forward(gt, np.random.default_rng(0))
     for task in ("typing", "staging"):
         assert_allclose(out_a.logits[task].data, out_b.logits[task].data,
                         atol=1e-10)
@@ -173,6 +173,16 @@ def test_config_validation():
         BranchConfig(task="typing", classes=1).validate()
 
 
+@pytest.mark.parametrize("field", ["input_dim", "dim", "gcn_layers", "heads",
+                                   "transformer_depth", "classes", "tokens",
+                                   "pool_size"])
+def test_config_validation_rejects_whole_number_floats(field):
+    d = small_config().to_dict()
+    (d if field in d else d["branches"][0])[field] = 4.0
+    with pytest.raises(ConfigError, match=f"'{field}' must be an integer, got 4.0"):
+        ModelConfig.from_dict(d).validate()
+
+
 def test_config_round_trips_through_dict():
     cfg = small_config(token_scheme="shared", scale_attention=False)
     again = ModelConfig.from_dict(cfg.to_dict())
@@ -196,10 +206,11 @@ def test_forward_reusing_an_output_equals_a_fresh_forward(pools):
         for task in ("typing", "staging"):
             assert_array_equal(reused.logits[task].data, fresh.logits[task].data)
             assert reused.refined[task] is first.refined[task]
-        assert reused.kept.keys() == fresh.kept.keys()
-        for task in fresh.kept:
-            assert_array_equal(reused.kept[task], fresh.kept[task])
-        assert reused.assignments.keys() == fresh.assignments.keys()
+        assert reused.aux.keys() == fresh.aux.keys()
+        for task in fresh.aux:
+            assert reused.aux[task].keys() == fresh.aux[task].keys()
+            if "kept" in fresh.aux[task]:
+                assert_array_equal(reused.aux[task]["kept"], fresh.aux[task]["kept"])
         for task, pool in zip(("typing", "staging"), pools):
             if pool != "drop":  # copied from the reused output, not recomputed
                 assert reused.logits[task] is first.logits[task]
