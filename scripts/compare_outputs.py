@@ -1,13 +1,13 @@
 """Compare the output files of this checkout with those of a git revision.
 
-    python3 scripts/compare_outputs.py <rev> [--seeds 1000 3]
+    python3 scripts/compare_outputs.py <rev>
 
 Exports the ``src`` tree of ``<rev>`` with ``git archive`` into a temporary
 directory (read-only on the repository, so an interrupted run leaves nothing
 to clean up) and runs the same steps in both trees, each in its own
 subprocess with its own ``src`` first on PYTHONPATH.  For every gated
 perfbench workload (cv-desk, cv-wsi64, eval-ckpt32, configs read from
-``perfbench/workloads.py`` of this checkout) and every seed it writes:
+``perfbench/workloads.py`` of this checkout) on seeds 1000 and 3 it writes:
 
 - ``data.mgts``: ``fileio.save_dataset`` of the generated dataset;
 - ``metrics.jsonl``, ``summary.json`` and ``checkpoints/*.mgtc``:
@@ -31,9 +31,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GATED = ("cv-desk", "cv-wsi64", "eval-ckpt32")
+SEEDS = (1000, 3)
 
 
-def produce(out_dir, seeds):
+def produce(out_dir):
     """Write every compared file under out_dir with the slidegt on sys.path."""
     import slidegt
     from perfbench.workloads import EVAL_FOLD, WORKLOADS, train_config
@@ -46,7 +47,7 @@ def produce(out_dir, seeds):
     for name in GATED:
         workload = WORKLOADS[name]
         cfg = train_config(workload)
-        for seed in seeds:
+        for seed in SEEDS:
             out = Path(out_dir) / f"{name}_seed{seed}"
             out.mkdir(parents=True)
             data = str(out / "data.mgts")
@@ -64,11 +65,10 @@ def produce(out_dir, seeds):
                     raise SystemExit(f"slidegt {argv[0]} failed on {out}")
 
 
-def run_tree(src, out_dir, seeds):
+def run_tree(src, out_dir):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT)]))
-    cmd = [sys.executable, __file__, "--produce", str(out_dir), "--seeds"]
-    proc = subprocess.run(cmd + [str(s) for s in seeds], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, __file__, "--produce", str(out_dir)],
+                          env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"producing outputs with {src} failed")
@@ -103,11 +103,10 @@ def compare(here, there, rev):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", nargs="?", help="git revision to compare against")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1000, 3])
     ap.add_argument("--produce", metavar="DIR", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.produce:
-        produce(args.produce, args.seeds)
+        produce(args.produce)
         return 0
     if args.rev is None:
         ap.error("a revision is required")
@@ -115,8 +114,8 @@ def main(argv=None):
         tmp = Path(tmp)
         other_src = export_src(args.rev, tmp)
         here, there = tmp / "out_here", tmp / "out_rev"
-        run_tree(ROOT / "src", here, args.seeds)
-        run_tree(other_src, there, args.seeds)
+        run_tree(ROOT / "src", here)
+        run_tree(other_src, there)
         return 1 if compare(here, there, args.rev) else 0
 
 

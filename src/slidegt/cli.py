@@ -215,7 +215,8 @@ def _cmd_gradcheck(args):
         nodes=args.nodes, dim=args.dim, gcn_layers=args.gcn_layers,
         heads=args.heads, tokens=args.tokens, keep=args.keep,
         clusters=args.clusters, depth=args.depth, seed=args.seed)
-    result = check_gradients(model, graph, labels, step=args.step)
+    result = check_gradients(model, graph, labels, step=args.step,
+                             seed=args.seed)
     for name, err in result.per_param:
         print(f"{name:<40} {err:.3e}")
     ok = result.worst < args.tol

@@ -4,8 +4,8 @@ Builds a small two-branch model on a random tile graph with fixed labels,
 and compares the analytic gradient of the joint loss (both cross-entropies
 plus the clustering terms) against a central finite difference for every
 parameter element.  Every loss evaluation hands the model a fresh rng seeded
-with ``DROP_SEED``, so the drop pool runs its own selection code and keeps
-the same rows each time.
+with the check's seed, so the drop pool runs its own selection code and keeps
+the same rows each time, and another seed keeps another subset.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .losses import LossWeights
 from .model import BranchConfig, ModelConfig, SlideGraphTransformer
 from .tensor import backward
 from .train import assemble_loss
-
-DROP_SEED = 0
 
 
 @dataclass
@@ -63,14 +61,16 @@ def build_check_model(nodes=12, dim=8, gcn_layers=2, heads=2, tokens=3,
     return model, graph, labels
 
 
-def check_gradients(model, graph, labels, step=1e-5, weights=None):
-    """Max relative error per parameter between backward and central FD."""
+def check_gradients(model, graph, labels, step=1e-5, weights=None, seed=0):
+    """Max relative error per parameter between backward and central FD.
+
+    Each loss evaluation seeds the drop pool's rng with ``seed``."""
     if not (np.isfinite(step) and step > 0.0):
         raise ConfigError(f"finite-difference step must be finite and > 0, got {step}")
     weights = weights or LossWeights()
 
     def loss_value():
-        out = model.forward(graph, np.random.default_rng(DROP_SEED))
+        out = model.forward(graph, np.random.default_rng(seed))
         return assemble_loss(out, graph, labels, weights)
 
     model.zero_grad()

@@ -28,20 +28,36 @@ def test_fixture_is_deterministic_and_pinned():
     assert a[2] == b[2]
     assert (a[1].node_features == b[1].node_features).all()
 
-    model, graph, labels = a
+    kept = kept_rows_per_evaluation(*a)
+    assert len(kept) > 2
+    for other in kept[1:]:  # every loss evaluation keeps the same rows
+        assert_array_equal(other, kept[0])
+
+
+def test_kept_rows_follow_the_check_seed():
+    subsets = set()
+    for seed in range(4):
+        model, graph, labels = build_check_model(
+            nodes=6, dim=4, gcn_layers=1, heads=2, tokens=2, keep=2,
+            clusters=2, seed=5)
+        kept = kept_rows_per_evaluation(model, graph, labels, seed=seed)
+        subsets.add(tuple(kept[0]))
+    assert len(subsets) > 1
+
+
+def kept_rows_per_evaluation(model, graph, labels, **kwargs):
+    """The typing pool's kept rows for every forward check_gradients runs."""
     kept = []
     forward = model.forward
 
-    def recording_forward(*args, **kwargs):
-        out = forward(*args, **kwargs)
+    def recording_forward(*args, **kw):
+        out = forward(*args, **kw)
         kept.append(out.aux["typing"]["kept"])
         return out
 
     model.forward = recording_forward
-    check_gradients(model, graph, labels)
-    assert len(kept) > 2
-    for other in kept[1:]:  # every loss evaluation keeps the same rows
-        assert_array_equal(other, kept[0])
+    check_gradients(model, graph, labels, **kwargs)
+    return kept
 
 
 def test_tiny_model_passes_at_tolerance():
