@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .graph import FeatureGrid, build_graph
 from .losses import LossWeights
 from .model import BranchConfig, ModelConfig, SlideGraphTransformer
-from .tensor import backward
+from .tensor import backward, no_grad
 from .train import assemble_loss
 
 
@@ -64,7 +64,8 @@ def build_check_model(nodes=12, dim=8, gcn_layers=2, heads=2, tokens=3,
 def check_gradients(model, graph, labels, step=1e-5, weights=None, seed=0):
     """Max relative error per parameter between backward and central FD.
 
-    Each loss evaluation seeds the drop pool's rng with ``seed``."""
+    Each loss evaluation seeds the drop pool's rng with ``seed``; the
+    finite-difference evaluations run under ``no_grad()`` and record no tape."""
     if not (np.isfinite(step) and step > 0.0):
         raise ConfigError(f"finite-difference step must be finite and > 0, got {step}")
     weights = weights or LossWeights()
@@ -78,19 +79,20 @@ def check_gradients(model, graph, labels, step=1e-5, weights=None, seed=0):
     analytic = {name: p.grad.copy() for name, p in model.parameters()}
 
     per_param = []
-    for name, p in model.parameters():
-        flat = p.data.reshape(-1)
-        grads = analytic[name].reshape(-1)
-        worst = 0.0
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + step
-            up = loss_value().item()
-            flat[i] = original - step
-            down = loss_value().item()
-            flat[i] = original
-            fd = (up - down) / (2.0 * step)
-            worst = max(worst, relative_error(grads[i], fd))
-        per_param.append((name, worst))
+    with no_grad():
+        for name, p in model.parameters():
+            flat = p.data.reshape(-1)
+            grads = analytic[name].reshape(-1)
+            worst = 0.0
+            for i in range(flat.size):
+                original = flat[i]
+                flat[i] = original + step
+                up = loss_value().item()
+                flat[i] = original - step
+                down = loss_value().item()
+                flat[i] = original
+                fd = (up - down) / (2.0 * step)
+                worst = max(worst, relative_error(grads[i], fd))
+            per_param.append((name, worst))
     worst_name, worst = max(per_param, key=lambda kv: kv[1])
     return GradCheckResult(per_param=per_param, worst=worst, worst_param=worst_name)

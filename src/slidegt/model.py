@@ -24,8 +24,6 @@ from .injection import InjectionBlock, TokenBank
 from .nn import FeedForward, LayerNorm, Linear, normal_param
 from .pooling import POOL_KINDS, make_pool
 
-TASKS = ("typing", "staging")
-
 
 def _check_ints(config, names, owner):
     """Reject non-int fields (a JSON 4.0 included) before any comparison."""

@@ -4,6 +4,9 @@ Every operation allocates a fresh result, records its parents and a backward
 closure, and stamps a monotonically increasing op id.  ``backward`` replays
 the closures in strictly decreasing op-id order, which is exactly the reverse
 of execution order, so accumulation into shared parameters is deterministic.
+A tape is replayed once: each node drops its closure and parents as soon as
+its closure has run, so the tape is freed while it is replayed, and a second
+``backward`` through a replayed node raises ``ContractError``.
 
 Tensors are dense numpy arrays; a graph's sparse adjacency enters only as the
 fixed operator of ``spmm``.  Every op output is checked for NaN/Inf up front
@@ -121,9 +124,19 @@ def _result(data, parents, backward):
     return t
 
 
+def _replayed(g):
+    raise ContractError("tape node already replayed")
+
+
 def backward(loss):
     """Accumulate d(loss)/d(leaf) into the ``grad`` buffer of every reachable
-    leaf created with ``requires_grad=True``.  ``loss`` must be scalar."""
+    leaf created with ``requires_grad=True``.  ``loss`` must be scalar.
+
+    The tape is consumed: every replayed node drops its closure and parents
+    (and with them the arrays they hold), so intermediates are freed during
+    the replay.  Replaying through such a node again raises ``ContractError``;
+    leaf totals are applied only at the end, so a failed call leaves every
+    ``grad`` buffer unchanged."""
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     seed = np.ones_like(loss.data)
@@ -141,14 +154,18 @@ def backward(loss):
                 seen.add(id(parent))
                 nodes.append(parent)
                 stack.append(parent)
-    nodes.sort(key=lambda t: t._op_id, reverse=True)
+    nodes.sort(key=lambda t: t._op_id)
     grads = {id(loss): seed}
     leaf_totals = {}  # id -> (leaf, merged grad); one += per leaf per call
-    for node in nodes:
+    while nodes:
+        node = nodes.pop()  # popped, so the list keeps no replayed node alive
         g = grads.pop(id(node), None)
         if g is None:  # reachable but received no gradient (dead branch)
             continue
-        for parent, pg in node._backward(g):
+        pairs = node._backward(g)
+        node._backward = _replayed
+        node._parents = ()
+        for parent, pg in pairs:
             if not parent.requires_grad:
                 continue
             key = id(parent)

@@ -136,11 +136,13 @@ def _train_model(cfg, model, graphs, samples, train_idx, run_seed, fold):
             opt.zero_grad()
             try:
                 for si in batch:
+                    # the forward output and the loss hold the whole tape, so
+                    # no name binds them: backward frees the tape as it goes
                     sample = samples[si]
                     rng = _rng(_TAG_TRAIN_DROP, run_seed, fold, epoch, sample.sample_id)
-                    out = model.forward(graphs[si], rng)
-                    labels = {task: sample.label(task) for task in out.logits}
-                    backward(assemble_loss(out, graphs[si], labels, cfg.weights))
+                    labels = {task: sample.label(task) for task in model.branches}
+                    backward(assemble_loss(model.forward(graphs[si], rng), graphs[si],
+                                           labels, cfg.weights))
                 inv = 1.0 / len(batch)
                 for _, p in model.parameters():
                     p.grad *= inv

@@ -1,5 +1,6 @@
 from numpy.testing import assert_array_equal
 
+from slidegt import tensor as T
 from slidegt.gradcheck import (build_check_model, check_gradients,
                                relative_error)
 
@@ -58,6 +59,23 @@ def kept_rows_per_evaluation(model, graph, labels, **kwargs):
     model.forward = recording_forward
     check_gradients(model, graph, labels, **kwargs)
     return kept
+
+
+def test_only_the_analytic_evaluation_records_a_tape():
+    model, graph, labels = build_check_model(
+        nodes=6, dim=4, gcn_layers=1, heads=2, tokens=2, keep=2, clusters=2)
+    recording = []
+    forward = model.forward
+
+    def recording_forward(*args, **kw):
+        recording.append(T._recording)
+        return forward(*args, **kw)
+
+    model.forward = recording_forward
+    check_gradients(model, graph, labels)
+    assert len(recording) > 2
+    assert recording[0] and not any(recording[1:])
+    assert T._recording
 
 
 def test_tiny_model_passes_at_tolerance():

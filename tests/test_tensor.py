@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -262,6 +264,32 @@ def test_backward_accumulates_across_calls():
     backward(T.sum_all(w))
     backward(T.sum_all(w))
     assert_array_equal(w.grad, np.full((2, 2), 2.0))
+
+
+def test_backward_releases_replayed_nodes():
+    rng = np.random.default_rng(17)
+    w = rand(rng, 3, 3)
+    loss = T.sum_all(T.mul(T.relu(T.matmul(w, w)), w))
+    # the relu output's buffer, which only that unnamed tensor holds
+    ref = weakref.ref(loss._parents[0]._parents[0].data)
+    assert ref() is not None
+    backward(loss)
+    assert ref() is None  # the intermediate died during the replay
+    assert loss._parents == ()
+
+
+def test_second_backward_through_a_replayed_tape_raises():
+    rng = np.random.default_rng(18)
+    w = rand(rng, 3, 3)
+    h = T.relu(T.matmul(w, w))
+    loss = T.sum_all(T.mul(h, h))
+    backward(loss)
+    after_first = w.grad.copy()
+    with pytest.raises(ContractError, match="already replayed"):
+        backward(loss)
+    with pytest.raises(ContractError, match="already replayed"):
+        backward(T.sum_all(T.add(h, w)))  # a new loss on a replayed intermediate
+    assert_array_equal(w.grad, after_first)
 
 
 def test_backward_is_deterministic():

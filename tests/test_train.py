@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,38 @@ def test_batch_step_equals_manual_gradient_average(ds):
     for (na, pa), (nb, pb) in zip(trained.parameters(), twin.parameters()):
         assert na == nb
         assert (pa.data == pb.data).all(), na
+
+
+# ------------------------------------------------------------- tape lifetime
+
+
+def test_training_holds_one_tape_at_a_time():
+    # one 32x32 slide trained as a batch of one and as a batch of three copies;
+    # a step that kept a sample's tape alive into the next forward would peak
+    # at about two tapes
+    sample = generate(SyntheticSpec(samples=2, rows=32, cols=32, dim=32, seed=4,
+                                    folds=2)).samples[0]
+    graph = build_graph(sample.grid)
+    model_cfg = ModelConfig(
+        input_dim=32, dim=32, gcn_layers=2, heads=2, transformer_depth=1,
+        branches=(
+            BranchConfig(task="typing", pooling="drop", tokens=16, pool_size=32),
+            BranchConfig(task="staging", pooling="gcmincut", tokens=16, pool_size=16),
+        ))
+
+    def peak_bytes(copies):
+        cfg = TrainConfig(model=model_cfg, epochs=1, batch_size=copies, lr=1e-3)
+        model = SlideGraphTransformer(model_cfg, np.random.SeedSequence([101, 0, 0]))
+        tracemalloc.start()
+        try:
+            tr._train_model(cfg, model, [graph] * copies, [sample] * copies,
+                            np.arange(copies), 0, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak_bytes(1)
+    assert peak_bytes(3) <= 1.1 * one
 
 
 # ------------------------------------------------------------------ paradigms
