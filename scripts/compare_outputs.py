@@ -110,6 +110,10 @@ def main(argv=None):
         return 0
     if args.rev is None:
         ap.error("a revision is required")
+    probe = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
+                            f"{args.rev}^{{commit}}"], capture_output=True)
+    if probe.returncode != 0:
+        ap.error(f"{args.rev!r} does not name a commit")
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         tmp = Path(tmp)
         other_src = export_src(args.rev, tmp)

@@ -282,6 +282,11 @@ def _cmd_ablate(args):
     for name, report in results:
         print(format_summary(report["summary"], title=f"variant: {name}"))
         print()
+    acc = {name: report["summary"].get("staging", {}).get("acc_mean")
+           for name, report in results}
+    if acc.get("multi") is not None and acc.get("single_stage") is not None:
+        delta = acc["multi"] - acc["single_stage"]
+        print(f"staging acc, multi minus single: {delta:+.4f}")
     return 0
 
 

@@ -25,12 +25,13 @@ from .nn import FeedForward, LayerNorm, Linear, normal_param
 from .pooling import POOL_KINDS, make_pool
 
 
-def _check_ints(config, names, owner):
-    """Reject non-int fields (a JSON 4.0 included) before any comparison."""
+def _check_types(config, kind, names, owner):
+    """Reject fields not exactly of type kind (a JSON 4.0 or 0 included)."""
+    what = {int: "an integer", bool: "a bool"}[kind]
     for name in names:
         value = getattr(config, name)
-        if type(value) is not int:
-            raise ConfigError(f"{owner} field {name!r} must be an integer, got {value!r}")
+        if type(value) is not kind:
+            raise ConfigError(f"{owner} field {name!r} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class BranchConfig:
     pool_size: int = 100
 
     def validate(self):
-        _check_ints(self, ("classes", "tokens", "pool_size"), f"task {self.task!r}")
+        _check_types(self, int, ("classes", "tokens", "pool_size"), f"task {self.task!r}")
         if self.classes < 2:
             raise ConfigError(f"task {self.task!r} needs >= 2 classes")
         if self.pooling not in POOL_KINDS:
@@ -76,8 +77,9 @@ class ModelConfig:
     branches: tuple = field(default_factory=default_branches)
 
     def validate(self):
-        _check_ints(self, ("input_dim", "dim", "gcn_layers", "heads", "transformer_depth"),
-                    "model")
+        _check_types(self, int, ("input_dim", "dim", "gcn_layers", "heads",
+                                 "transformer_depth"), "model")
+        _check_types(self, bool, ("scale_attention", "assign_softmax"), "model")
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.dim < 2:

