@@ -11,12 +11,20 @@ bit-exact in both directions.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 from .graph import FeatureGrid
+
+
+def _finite_number(value):
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
 
 _OFFSETS8 = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
                   if (dr, dc) != (0, 0))
@@ -53,6 +61,11 @@ class SyntheticSpec:
         if not (0.0 < lo and hi < 1.0):
             raise ConfigError(
                 f"stage ratio window [{lo:.3f}, {hi:.3f}] must stay inside (0, 1)")
+        for name in ("region_count", "region_radius"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(_finite_number(v) for v in pair)):
+                raise ConfigError(f"{name} must be two finite numbers, got {pair!r}")
         c_lo, c_hi = self.region_count
         if c_lo < 1 or c_hi < c_lo:
             raise ConfigError(f"bad region count range {self.region_count}")

@@ -1,11 +1,17 @@
 """Dense f64 tensors with tape-based reverse-mode differentiation.
 
-Every operation allocates a fresh result, records its parents and a backward
-closure, and stamps a monotonically increasing op id.  ``backward`` replays
-the closures in strictly decreasing op-id order, which is exactly the reverse
-of execution order, so accumulation into shared parameters is deterministic.
-A tape is replayed once: each node drops its closure and parents as soon as
-its closure has run, so the tape is freed while it is replayed, and a second
+The tape is a graph of ``_Node`` entries kept apart from the values.  An op
+whose inputs need gradients gives its output a node holding the parents'
+nodes, a backward closure and a monotonically increasing op id.  The closure
+saves exactly the arrays its backward reads (a matmul saves its operands, a
+relu its mask, an add only shapes) and never a ``Tensor``, so an
+intermediate output that no closure reads dies with the expression that made
+it.  A closure maps the output's gradient to one gradient (or ``None``) per
+parent, by position.  ``backward`` replays the closures in strictly
+decreasing op-id order, which is exactly the reverse of execution order, so
+accumulation into shared parameters is deterministic.  A tape is replayed
+once: each node drops its closure and parents as soon as its closure has
+run, so the saved arrays are freed while the tape is replayed, and a second
 ``backward`` through a replayed node raises ``ContractError``.
 
 Tensors are dense numpy arrays; a graph's sparse adjacency enters only as the
@@ -32,7 +38,7 @@ _recording = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Within the block, op outputs keep no parents and no backward closure."""
+    """Within the block, op outputs get no tape node."""
     global _recording
     previous = _recording
     _recording = False
@@ -49,10 +55,24 @@ def _ensure_finite(arr, what="tensor"):
         raise NonFiniteError(f"non-finite values in {what}")
 
 
-class Tensor:
-    """A numpy-backed node of the differentiation tape."""
+class _Node:
+    """A tape entry: the parents' nodes (``None`` where no gradient flows),
+    the backward closure, the op id, and for a leaf the tensor whose ``grad``
+    receives its total (``backward`` is then ``None``)."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op_id")
+    __slots__ = ("parents", "backward", "op_id", "leaf")
+
+    def __init__(self, parents, backward, op_id, leaf=None):
+        self.parents = parents
+        self.backward = backward
+        self.op_id = op_id
+        self.leaf = leaf
+
+
+class Tensor:
+    """A numpy array plus, when it needs a gradient, its tape node."""
+
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         arr = np.array(data, dtype=np.float64)  # leaves own their buffer
@@ -60,9 +80,8 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(arr) if requires_grad else None
-        self._parents = ()
-        self._backward = None
-        self._op_id = next(_op_counter)
+        op_id = next(_op_counter)
+        self._node = _Node((), None, op_id, self) if requires_grad else None
 
     @property
     def shape(self):
@@ -99,28 +118,25 @@ def constant(arr):
     t.data = arr
     t.requires_grad = False
     t.grad = None
-    t._parents = ()
-    t._backward = None
-    t._op_id = next(_op_counter)
+    t._node = None
+    next(_op_counter)  # every tensor draws one op id
     return t
 
 
 def _result(data, parents, backward):
-    """Build an op output; constant-folds when no parent needs gradients or
-    when recording is off."""
+    """Build an op output; it gets a tape node only when recording is on and
+    some parent needs a gradient."""
     _ensure_finite(data, "op output")
     t = Tensor.__new__(Tensor)
     t.data = data
     t.grad = None
-    t._op_id = next(_op_counter)
+    op_id = next(_op_counter)
     if _recording and any(p.requires_grad for p in parents):
         t.requires_grad = True
-        t._parents = tuple(parents)
-        t._backward = backward
+        t._node = _Node(tuple(p._node for p in parents), backward, op_id)
     else:
         t.requires_grad = False
-        t._parents = ()
-        t._backward = None
+        t._node = None
     return t
 
 
@@ -132,44 +148,50 @@ def backward(loss):
     """Accumulate d(loss)/d(leaf) into the ``grad`` buffer of every reachable
     leaf created with ``requires_grad=True``.  ``loss`` must be scalar.
 
-    The tape is consumed: every replayed node drops its closure and parents
-    (and with them the arrays they hold), so intermediates are freed during
-    the replay.  Replaying through such a node again raises ``ContractError``;
-    leaf totals are applied only at the end, so a failed call leaves every
-    ``grad`` buffer unchanged."""
+    The tape holds the arrays each closure saved, not the op outputs.  Each
+    closure returns one gradient per parent, by position, and gradients
+    reaching one node are summed in replay order.  The tape is consumed:
+    every replayed node drops its closure and parents (and with them the
+    arrays they saved), so the tape is freed during the replay.  Replaying
+    through such a node again raises ``ContractError``; leaf totals are
+    applied only at the end, so a failed call leaves every ``grad`` buffer
+    unchanged."""
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     seed = np.ones_like(loss.data)
-    if loss._backward is None:
-        if loss.requires_grad:
-            loss.grad += seed
+    root = loss._node
+    if root is None:
+        return
+    if root.backward is None:
+        loss.grad += seed
         return
     # Collect reachable tape nodes, then replay in reverse execution order.
-    nodes = [loss]
-    seen = {id(loss)}
-    stack = [loss]
+    nodes = [root]
+    seen = {id(root)}
+    stack = [root]
     while stack:
-        for parent in stack.pop()._parents:
-            if parent._backward is not None and id(parent) not in seen:
+        for parent in stack.pop().parents:
+            if parent is not None and parent.backward is not None and id(parent) not in seen:
                 seen.add(id(parent))
                 nodes.append(parent)
                 stack.append(parent)
-    nodes.sort(key=lambda t: t._op_id)
-    grads = {id(loss): seed}
-    leaf_totals = {}  # id -> (leaf, merged grad); one += per leaf per call
+    nodes.sort(key=lambda n: n.op_id)
+    grads = {id(root): seed}
+    leaf_totals = {}  # id -> (leaf node, merged grad); one += per leaf per call
     while nodes:
         node = nodes.pop()  # popped, so the list keeps no replayed node alive
         g = grads.pop(id(node), None)
         if g is None:  # reachable but received no gradient (dead branch)
             continue
-        pairs = node._backward(g)
-        node._backward = _replayed
-        node._parents = ()
-        for parent, pg in pairs:
-            if not parent.requires_grad:
+        parents = node.parents
+        parent_grads = node.backward(g)
+        node.backward = _replayed
+        node.parents = ()
+        for parent, pg in zip(parents, parent_grads):
+            if parent is None:
                 continue
             key = id(parent)
-            if parent._backward is None:
+            if parent.backward is None:
                 held = leaf_totals.get(key)
                 leaf_totals[key] = (parent, pg if held is None else held[1] + pg)
             else:
@@ -177,30 +199,29 @@ def backward(loss):
                 # never mutate stored arrays in place: closures may return
                 # their incoming gradient unchanged (aliasing hazard)
                 grads[key] = pg if held is None else held + pg
-    for leaf, total in leaf_totals.values():
-        leaf.grad += total
+    for node, total in leaf_totals.values():
+        node.leaf.grad += total
 
 
 # ---------------------------------------------------------------- arithmetic
+#
+# Each backward closure captures arrays, shapes and flags only, never a
+# ``Tensor``, and returns one gradient per parent (``None`` where the parent
+# needs none).
 
 
 def add(a, b):
     """Elementwise a + b; b may also be a scalar or a row vector (bias)."""
+    need_b = b.requires_grad
     if a.shape == b.shape:
         def back(g):
-            return [(a, g), (b, g)]
+            return g, g
     elif b.shape == ():
         def back(g):
-            out = [(a, g)]
-            if b.requires_grad:
-                out.append((b, np.asarray(g.sum())))
-            return out
+            return g, np.asarray(g.sum()) if need_b else None
     elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
         def back(g):
-            out = [(a, g)]
-            if b.requires_grad:
-                out.append((b, g.sum(axis=0)))
-            return out
+            return g, g.sum(axis=0) if need_b else None
     else:
         raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
     return _result(a.data + b.data, (a, b), back)
@@ -208,22 +229,13 @@ def add(a, b):
 
 def sub(a, b):
     """Elementwise a - b (same shape, or scalar b)."""
+    need_a, need_b = a.requires_grad, b.requires_grad
     if a.shape == b.shape:
         def back(g):
-            out = []
-            if a.requires_grad:
-                out.append((a, g))
-            if b.requires_grad:
-                out.append((b, -g))
-            return out
+            return g if need_a else None, -g if need_b else None
     elif b.shape == ():
         def back(g):
-            out = []
-            if a.requires_grad:
-                out.append((a, g))
-            if b.requires_grad:
-                out.append((b, np.asarray(-g.sum())))
-            return out
+            return g if need_a else None, np.asarray(-g.sum()) if need_b else None
     else:
         raise DimensionError(f"sub: incompatible shapes {a.shape} and {b.shape}")
     return _result(a.data - b.data, (a, b), back)
@@ -231,32 +243,24 @@ def sub(a, b):
 
 def mul(a, b):
     """Elementwise a * b; b may also be scalar or a broadcast column (n, 1)."""
+    a_data = a.data if b.requires_grad else None  # read only for b's gradient
+    b_data = b.data if a.requires_grad else None
     if a.shape == b.shape:
-        def back(g):
-            out = []
-            if a.requires_grad:
-                out.append((a, g * b.data))
-            if b.requires_grad:
-                out.append((b, g * a.data))
-            return out
+        def reduce_b(gb):
+            return gb
     elif b.shape == ():
-        def back(g):
-            out = []
-            if a.requires_grad:
-                out.append((a, g * b.data))
-            if b.requires_grad:
-                out.append((b, np.asarray((g * a.data).sum())))
-            return out
+        def reduce_b(gb):
+            return np.asarray(gb.sum())
     elif a.data.ndim == 2 and b.shape == (a.shape[0], 1):
-        def back(g):
-            out = []
-            if a.requires_grad:
-                out.append((a, g * b.data))
-            if b.requires_grad:
-                out.append((b, (g * a.data).sum(axis=1, keepdims=True)))
-            return out
+        def reduce_b(gb):
+            return gb.sum(axis=1, keepdims=True)
     else:
         raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+
+    def back(g):
+        return (None if b_data is None else g * b_data,
+                None if a_data is None else reduce_b(g * a_data))
+
     return _result(a.data * b.data, (a, b), back)
 
 
@@ -264,15 +268,16 @@ def div(a, b):
     """Elementwise a / b (same shape) or a / scalar-tensor b."""
     if b.shape not in ((), a.shape):
         raise DimensionError(f"div: incompatible shapes {a.shape} and {b.shape}")
+    need_a, scalar_b = a.requires_grad, b.shape == ()
+    a_data = a.data if b.requires_grad else None  # read only for b's gradient
+    b_data = b.data
 
     def back(g):
-        out = []
-        if a.requires_grad:
-            out.append((a, g / b.data))
-        if b.requires_grad:
-            gb = -g * a.data / (b.data * b.data)
-            out.append((b, np.asarray(gb.sum()) if b.shape == () else gb))
-        return out
+        ga = g / b_data if need_a else None
+        if a_data is None:
+            return ga, None
+        gb = -g * a_data / (b_data * b_data)
+        return ga, np.asarray(gb.sum()) if scalar_b else gb
 
     return _result(a.data / b.data, (a, b), back)
 
@@ -282,7 +287,7 @@ def scale(a, c):
     c = float(c)
 
     def back(g):
-        return [(a, g * c)]
+        return (g * c,)
 
     return _result(a.data * c, (a,), back)
 
@@ -291,14 +296,12 @@ def matmul(a, b):
     """2-D matrix product."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    a_data = a.data if b.requires_grad else None  # read only for b's gradient
+    b_data = b.data if a.requires_grad else None
 
     def back(g):
-        out = []
-        if a.requires_grad:
-            out.append((a, g @ b.data.T))
-        if b.requires_grad:
-            out.append((b, a.data.T @ g))
-        return out
+        return (None if b_data is None else g @ b_data.T,
+                None if a_data is None else a_data.T @ g)
 
     return _result(a.data @ b.data, (a, b), back)
 
@@ -310,7 +313,7 @@ def spmm(adj, x):
         raise DimensionError(f"spmm: incompatible shapes {adj.shape} and {x.shape}")
 
     def back(g):
-        return [(x, adj @ g)]
+        return (adj @ g,)
 
     return _result(adj @ x.data, (x,), back)
 
@@ -320,7 +323,7 @@ def transpose(a):
         raise DimensionError(f"transpose needs a 2-D tensor, got shape {a.shape}")
 
     def back(g):
-        return [(a, g.T)]
+        return (g.T,)
 
     return _result(a.data.T.copy(), (a,), back)
 
@@ -333,7 +336,7 @@ def relu(a):
     mask = a.data > 0.0
 
     def back(g):
-        return [(a, g * mask)]
+        return (g * mask,)
 
     return _result(np.where(mask, a.data, 0.0), (a,), back)
 
@@ -342,7 +345,7 @@ def sqrt(a):
     out_data = np.sqrt(a.data)
 
     def back(g):
-        return [(a, g * 0.5 / out_data)]
+        return (g * 0.5 / out_data,)
 
     return _result(out_data, (a,), back)
 
@@ -352,8 +355,10 @@ def sqrt(a):
 
 def sum_all(a):
     """Sum of all elements, as a scalar tensor."""
+    shape = a.shape
+
     def back(g):
-        return [(a, np.full(a.data.shape, float(g)))]
+        return (np.full(shape, float(g)),)
 
     return _result(np.asarray(a.data.sum()), (a,), back)
 
@@ -371,7 +376,7 @@ def softmax_rows(a):
 
     def back(g):
         dot = (g * out_data).sum(axis=1, keepdims=True)
-        return [(a, (g - dot) * out_data)]
+        return ((g - dot) * out_data,)
 
     return _result(out_data, (a,), back)
 
@@ -385,7 +390,7 @@ def log_softmax_rows(a):
     soft = np.exp(out_data)
 
     def back(g):
-        return [(a, g - soft * g.sum(axis=1, keepdims=True))]
+        return (g - soft * g.sum(axis=1, keepdims=True),)
 
     return _result(out_data, (a,), back)
 
@@ -406,25 +411,25 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match width {d}")
-    mean = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    # centre once; the same operations as ``x.var``, so the same bits
+    centred = x.data - x.data.mean(axis=1, keepdims=True)
+    var = (centred * centred).sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
-    out_data = xhat * gamma.data + beta.data
+    xhat = centred * inv
+    gamma_data = gamma.data
+    need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    out_data = xhat * gamma_data + beta.data
 
     def back(g):
-        out = []
-        if x.requires_grad:
-            dxhat = g * gamma.data
+        dx = None
+        if need_x:
+            dxhat = g * gamma_data
             dx = inv * (dxhat
                         - dxhat.mean(axis=1, keepdims=True)
                         - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
-            out.append((x, dx))
-        if gamma.requires_grad:
-            out.append((gamma, (g * xhat).sum(axis=0)))
-        if beta.requires_grad:
-            out.append((beta, g.sum(axis=0)))
-        return out
+        return (dx,
+                (g * xhat).sum(axis=0) if need_gamma else None,
+                g.sum(axis=0) if need_beta else None)
 
     return _result(out_data, (x, gamma, beta), back)
 
@@ -439,11 +444,12 @@ def take_rows(x, indices):
         raise DimensionError("take_rows expects a flat index array")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ContractError(f"take_rows: index out of range for {x.shape[0]} rows")
+    shape = x.shape
 
     def back(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape)
         full[idx] = g
-        return [(x, full)]
+        return (full,)
 
     return _result(x.data[idx].copy(), (x,), back)
 
@@ -455,30 +461,23 @@ def concat_rows(a, b):
     na = a.shape[0]
 
     def back(g):
-        out = []
-        if a.requires_grad:
-            out.append((a, g[:na]))
-        if b.requires_grad:
-            out.append((b, g[na:]))
-        return out
+        return g[:na], g[na:]
 
     return _result(np.concatenate([a.data, b.data], axis=0), (a, b), back)
 
 
 def concat_cols(parts):
     """Concatenate 2-D tensors side by side."""
-    parts = list(parts)
+    parts = tuple(parts)
     if not parts:
         raise ContractError("concat_cols needs at least one tensor")
     rows = parts[0].shape[0]
     for p in parts:
         if p.data.ndim != 2 or p.shape[0] != rows:
             raise DimensionError("concat_cols: row counts differ")
-    widths = [p.shape[1] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
+    offsets = np.concatenate([[0], np.cumsum([p.shape[1] for p in parts])])
 
     def back(g):
-        return [(p, g[:, offsets[i]:offsets[i + 1]])
-                for i, p in enumerate(parts) if p.requires_grad]
+        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(offsets) - 1))
 
-    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), back)
+    return _result(np.concatenate([p.data for p in parts], axis=1), parts, back)

@@ -7,7 +7,7 @@ from slidegt.cli import main
 from slidegt import fileio
 from slidegt.fileio import load_dataset, load_embeddings
 from slidegt.graph import build_graph
-from test_fileio import write_non_object_header
+from test_fileio import _mutate_spec, rewrite_dataset_header, write_non_object_header
 
 SYNTH = ["synth", "--samples", "8", "--rows", "10", "--cols", "10",
          "--dim", "4", "--seed", "3", "--radius", "1.0", "2.5",
@@ -122,6 +122,17 @@ def test_non_object_dataset_header_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: JSON header is not an object" in err
     assert "Traceback" not in err
+
+
+def test_dataset_with_a_malformed_spec_range_exits_one(data_path, tmp_path, capsys):
+    path = tmp_path / "bad_range.mgts"
+    path.write_bytes(data_path.read_bytes())
+    rewrite_dataset_header(path, _mutate_spec("region_count", [1.3]))
+    rc = main(["train", "--data", str(path)] + TRAIN_FLAGS)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad dataset header: region_count must be two finite")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def eval_with_config(checkpoint, data_path, tmp_path, mutate):

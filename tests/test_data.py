@@ -106,6 +106,13 @@ def test_spec_validation_rejects_infeasible_setups():
         SyntheticSpec(occupancy=0.0).validate()
     with pytest.raises(ConfigError, match="region count"):
         SyntheticSpec(region_count=(2, 1)).validate()
+    for field, value in [("region_count", (1.3,)), ("region_count", (1, 2, 3)),
+                         ("region_count", 2), ("region_count", (1, "3")),
+                         ("region_count", (True, 3)), ("region_radius", ()),
+                         ("region_radius", (1.0, float("nan"))),
+                         ("region_radius", (float("-inf"), 2.0))]:
+        with pytest.raises(ConfigError, match=f"{field} must be two finite numbers"):
+            SyntheticSpec(**{field: value}).validate()
 
 
 def test_spec_round_trips_through_dict():

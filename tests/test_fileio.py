@@ -241,22 +241,74 @@ def checkpoint_file(tmp_path_factory):
 JSON_BYTES = st.sampled_from(b'0123456789"{}[],:-.eEtrufalsn ')
 
 
+def corrupt(raw, data):
+    """One truncation or one single-byte overwrite of a framed file, drawn by
+    hypothesis.  Overwrites favour the JSON header and the framing just after
+    it, and within the header its punctuation and the commas of number lists,
+    where one byte changes the header's structure or a list's length."""
+    header_end = 12 + struct.unpack("<I", raw[8:12])[0]
+    if data.draw(st.booleans(), label="truncate"):
+        return raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    punctuation = [i for i in range(12, header_end) if raw[i] in b",:[]{}"]
+    offsets = (st.integers(0, header_end + 40) | st.integers(0, len(raw) - 1)
+               | st.sampled_from(punctuation))
+    digits = b"0123456789"
+    separators = [i for i in punctuation
+                  if raw[i] == ord(",") and raw[i - 1] in digits and raw[i + 1] in digits]
+    if separators:
+        offsets |= st.sampled_from(separators)
+    at = data.draw(offsets, label="offset")
+    byte = data.draw(JSON_BYTES | st.integers(0, 255), label="byte")
+    return raw[:at] + bytes([byte]) + raw[at + 1:]
+
+
 @settings(max_examples=150)
 @given(data=st.data())
 def test_corrupt_checkpoint_loads_or_raises_a_typed_error(checkpoint_file, data):
     path, raw = checkpoint_file
-    header_end = 12 + struct.unpack("<I", raw[8:12])[0]
-    if data.draw(st.booleans(), label="truncate"):
-        corrupt = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
-    else:  # half the overwrites land in the header or the first blob's framing
-        at = data.draw(st.integers(0, header_end + 40) | st.integers(0, len(raw) - 1),
-                       label="offset")
-        byte = data.draw(JSON_BYTES | st.integers(0, 255), label="byte")
-        corrupt = raw[:at] + bytes([byte]) + raw[at + 1:]
-    path.write_bytes(corrupt)
+    path.write_bytes(corrupt(raw, data))
     try:
         load_checkpoint(path)
     except (ParseError, CheckpointError):
+        pass
+
+
+@pytest.fixture(scope="module")
+def embeddings_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "e.mgte"
+    rng = np.random.default_rng(1)
+    save_embeddings(path, small_config(), [(3, "typing", rng.normal(0, 1, (4, 8))),
+                                           (3, "staging", rng.normal(0, 1, (2, 8)))])
+    return path, path.read_bytes()
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_corrupt_embeddings_load_or_raise_a_typed_error(embeddings_file, data):
+    path, raw = embeddings_file
+    path.write_bytes(corrupt(raw, data))
+    try:
+        load_embeddings(path)
+    except ParseError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def dataset_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "d.mgts"
+    save_dataset(generate(SyntheticSpec(samples=2, rows=6, cols=6, dim=2, seed=1,
+                                        region_radius=(1.0, 2.0), folds=2)), path)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_corrupt_dataset_loads_or_raises_a_typed_error(dataset_file, data):
+    path, raw = dataset_file
+    path.write_bytes(corrupt(raw, data))
+    try:
+        load_dataset(path)
+    except ParseError:
         pass
 
 
@@ -361,6 +413,16 @@ def test_dataset_with_corrupt_sample_names_it(tmp_path, tiny_ds):
         load_dataset(path)
 
 
+def rewrite_dataset_header(path, mutate):
+    """Apply mutate to the JSON header of the dataset file at path, in place."""
+    buf = path.read_bytes()
+    (length,) = struct.unpack_from("<I", buf, 8)
+    header = json.loads(buf[12:12 + length])
+    mutate(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(buf[:8] + struct.pack("<I", len(raw)) + raw + buf[12 + length:])
+
+
 def _mutate_sample(i, key, value):
     def mutate(header):
         header["samples"][i][key] = value
@@ -390,19 +452,19 @@ def _mutate_spec(key, value):
     (_mutate_sample(4, "id", 0), "sample 4 repeats sample id 0"),
     (_mutate_spec("folds", "x"), "bad dataset header"),
     (_mutate_spec("folds", 0), "bad dataset header: folds must be in"),
+    (_mutate_spec("region_count", [1.3]),
+     r"bad dataset header: region_count must be two finite numbers, got \(1.3,\)"),
+    (_mutate_spec("region_radius", [1.0, 2.0, 3.0]), "region_radius must be two finite"),
+    (_mutate_spec("region_count", [1, "3"]), "region_count must be two finite"),
 ], ids=["missing-stage", "type-7", "stage-negative", "type-string", "fold-float",
         "stage-bool", "fold-negative", "fold-too-large", "negative-id", "duplicate-id",
-        "spec-folds-string", "spec-folds-zero"])
+        "spec-folds-string", "spec-folds-zero", "spec-region-count-single",
+        "spec-region-radius-triple", "spec-region-count-string"])
 def test_dataset_header_sample_entries_are_validated(tmp_path, tiny_ds, mutate,
                                                      message):
     path = tmp_path / "d.mgts"
     save_dataset(tiny_ds, path)
-    buf = path.read_bytes()
-    (length,) = struct.unpack_from("<I", buf, 8)
-    header = json.loads(buf[12:12 + length])
-    mutate(header)
-    raw = json.dumps(header).encode()
-    path.write_bytes(buf[:8] + struct.pack("<I", len(raw)) + raw + buf[12 + length:])
+    rewrite_dataset_header(path, mutate)
     with pytest.raises(ParseError, match=message) as exc:
         load_dataset(path)
     assert exc.value.offset == 12  # the JSON header

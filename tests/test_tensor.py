@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import weakref
 
 import numpy as np
@@ -266,16 +268,107 @@ def test_backward_accumulates_across_calls():
     assert_array_equal(w.grad, np.full((2, 2), 2.0))
 
 
+# Every op, called on positive inputs of these shapes (spmm's operator and
+# take_rows' indices are fixed arguments, not parents).
+OP_CASES = [
+    ("add", T.add, [(3, 4), (3, 4)]),
+    ("add", T.add, [(3, 4), ()]),
+    ("add", T.add, [(3, 4), (4,)]),
+    ("sub", T.sub, [(3, 4), (3, 4)]),
+    ("sub", T.sub, [(3, 4), ()]),
+    ("mul", T.mul, [(3, 4), (3, 4)]),
+    ("mul", T.mul, [(3, 4), ()]),
+    ("mul", T.mul, [(3, 4), (3, 1)]),
+    ("div", T.div, [(3, 4), (3, 4)]),
+    ("div", T.div, [(3, 4), ()]),
+    ("scale", lambda a: T.scale(a, 0.5), [(3, 4)]),
+    ("matmul", T.matmul, [(3, 4), (4, 2)]),
+    ("spmm", lambda x: T.spmm(np.eye(3), x), [(3, 4)]),
+    ("transpose", T.transpose, [(3, 4)]),
+    ("relu", T.relu, [(3, 4)]),
+    ("sqrt", T.sqrt, [(3, 4)]),
+    ("sum_all", T.sum_all, [(3, 4)]),
+    ("softmax_rows", T.softmax_rows, [(3, 4)]),
+    ("log_softmax_rows", T.log_softmax_rows, [(3, 4)]),
+    ("layer_norm", T.layer_norm, [(3, 4), (4,), (4,)]),
+    ("take_rows", lambda x: T.take_rows(x, np.array([2, 0])), [(3, 4)]),
+    ("concat_rows", T.concat_rows, [(3, 4), (2, 4)]),
+    ("concat_cols", lambda *parts: T.concat_cols(parts), [(3, 4), (3, 1), (3, 2)]),
+]
+
+
+def closure_tensors(fn):
+    """Every Tensor reachable from the cells of fn's closure, through
+    containers and nested closures."""
+    found = []
+    stack = [cell.cell_contents for cell in fn.__closure__ or ()]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, Tensor):
+            found.append(value)
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        elif inspect.isfunction(value):
+            stack.extend(cell.cell_contents for cell in value.__closure__ or ())
+    return found
+
+
+def test_op_cases_cover_every_op():
+    ops = {name for name, fn in vars(T).items()
+           if inspect.isfunction(fn) and fn.__module__ == T.__name__
+           and not name.startswith("_")} - {"no_grad", "backward", "constant"}
+    assert {name for name, _, _ in OP_CASES} == ops
+
+
+@pytest.mark.parametrize("name, op, shapes", OP_CASES,
+                         ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(OP_CASES)])
+def test_backward_closures_hold_no_tensor(name, op, shapes):
+    rng = np.random.default_rng(19)
+    for needs in itertools.product([False, True], repeat=len(shapes)):
+        if not any(needs):
+            continue
+        inputs = [Tensor(rng.uniform(0.5, 1.5, shape), requires_grad=need)
+                  for shape, need in zip(shapes, needs)]
+        node = op(*inputs)._node
+        assert [p is not None for p in node.parents] == list(needs), (name, needs)
+        assert closure_tensors(node.backward) == [], (name, needs)
+
+
+def test_unsaved_intermediates_die_before_backward():
+    rng = np.random.default_rng(20)
+    x = Tensor(rng.normal(0.0, 1.0, (5, 4)))
+    w = rand(rng, 4, 3)
+    b = Tensor(rng.normal(0.0, 1.0, 3), requires_grad=True)
+    products = []
+
+    def tracked_matmul(a, c):
+        out = T.matmul(a, c)
+        products.append(weakref.ref(out.data))
+        return out
+
+    # add saves no operand and relu only its mask, so nothing holds x @ w
+    h = T.relu(T.add(tracked_matmul(x, w), b))
+    assert products[0]() is None
+    backward(T.sum_all(h))
+    mask = (x.data @ w.data + b.data > 0.0).astype(float)
+    assert_array_equal(w.grad, x.data.T @ mask)
+    assert_array_equal(b.grad, mask.sum(axis=0))
+
+
 def test_backward_releases_replayed_nodes():
     rng = np.random.default_rng(17)
     w = rand(rng, 3, 3)
-    loss = T.sum_all(T.mul(T.relu(T.matmul(w, w)), w))
-    # the relu output's buffer, which only that unnamed tensor holds
-    ref = weakref.ref(loss._parents[0]._parents[0].data)
+    h = T.relu(T.matmul(w, w))
+    loss = T.sum_all(T.mul(h, w))
+    # the relu output's buffer, which only mul's backward closure now holds
+    ref = weakref.ref(h.data)
+    del h
     assert ref() is not None
     backward(loss)
-    assert ref() is None  # the intermediate died during the replay
-    assert loss._parents == ()
+    assert ref() is None  # the saved array died during the replay
+    assert loss._node.parents == ()
 
 
 def test_second_backward_through_a_replayed_tape_raises():
@@ -355,7 +448,7 @@ def test_no_grad_records_no_tape_and_restores_on_exception():
     with T.no_grad():
         y = T.matmul(w, w)
         assert not y.requires_grad
-        assert y._parents == () and y._backward is None
+        assert y._node is None
         with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
             T.div(w, Tensor(0.0))  # the eager finite check stays on
     assert T.matmul(w, w).requires_grad
