@@ -9,7 +9,6 @@ Domain errors exit with status 1; argparse handles usage errors with 2.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .data import SyntheticSpec, generate
 from .errors import (CheckpointError, ConfigError, ContractError, DimensionError,
                      NonFiniteError, ParseError, TrainingDiverged)
+from .fileio import write_json
 from .gradcheck import build_check_model, check_gradients
 from .graph import build_graph
 from .losses import LossWeights
@@ -187,9 +187,7 @@ def _cmd_eval(args):
                  for k, v in metrics.items()]
         print(f"{task}: " + " ".join(parts))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(results, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(args.out, results)
     return 0
 
 
@@ -247,6 +245,8 @@ def _cmd_export(args):
             f"checkpoint expects feature width {model.config.input_dim}, "
             f"dataset has {dim}")
     by_id = {s.sample_id: s for s in dataset.samples}
+    if args.samples == []:
+        raise ConfigError("--samples needs at least one sample id")
     ids = sorted(by_id) if args.samples is None else args.samples
     seen = set()
     for sid in ids:  # check every id before any forward runs
@@ -258,8 +258,9 @@ def _cmd_export(args):
     entries = []
     with no_grad():
         for sid in ids:
-            out = model.forward(build_graph(by_id[sid].grid), np.random.default_rng(0))
-            entries += [(sid, task, rows.data) for task, rows in out.refined.items()]
+            h = model.trunk(build_graph(by_id[sid].grid))
+            entries += [(sid, task, branch.inject(h, branch.bank).data)
+                        for task, branch in model.branches.items()]
     save_embeddings(args.out, model.config, entries)
     print(f"wrote {len(entries)} embedding blocks for {len(ids)} samples to {args.out}")
     return 0

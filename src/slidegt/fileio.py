@@ -12,13 +12,16 @@ Readers parse fully in memory and validate before returning anything, so a
 truncated or corrupt file is rejected outright; error messages name the byte
 offset of the problem.  Writers emit a canonical byte stream (sorted JSON
 keys, fixed field order), so save -> load -> save reproduces files bit for
-bit.
+bit, and write it through ``write_atomic``, so an interrupted write never
+leaves a partial file under the target name.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -134,12 +137,36 @@ def grid_from_bytes(buf):
 # ------------------------------------------------------------------ framing
 
 
+def write_atomic(path, *parts):
+    """Write the byte strings parts to path through a temp file and a rename.
+
+    The temp file sits next to path, so ``os.replace`` swaps it in whole: a
+    reader sees the old file or the new one, never a partial write.  On any
+    exception the temp file is removed and an existing file stays as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "wb")  # a bad directory fails here, before any temp file exists
+    try:
+        with fh:
+            for part in parts:
+                fh.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, obj):
+    """Write obj as sorted JSON indented by 2 plus a newline, atomically."""
+    write_atomic(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
+
+
 def _write_framed(path, magic, header, body):
     """Write magic, u32 version, u32 header length, JSON header, then body."""
     header_raw = _json_bytes(header)
-    with open(path, "wb") as fh:
-        fh.write(magic + struct.pack("<II", FORMAT_VERSION, len(header_raw)) + header_raw)
-        fh.write(body)
+    write_atomic(path, magic + struct.pack("<II", FORMAT_VERSION, len(header_raw))
+                 + header_raw, body)
 
 
 def _read_framed(path, magic):

@@ -4,10 +4,12 @@ A forward pass runs one shared GCN over the tile graph, then per task:
 latent-token injection, task-specific pooling, and a small pre-norm
 transformer read out through a CLS row into an MLP over the class logits.
 ``SlideGraphTransformer.forward(graph, rng, reuse=None)`` is the one way
-through the model; it returns each task's logits, its pool's aux dict and its
-post-injection node rows.  Branches are independent except for the shared
-encoder (and, optionally, a shared token bank), so single-task models are
-just one-branch configs.
+through the model; it returns each task's logits, its pool's aux dict and the
+shared trunk rows (``SlideGraphTransformer.trunk``, the GCN output).  A task's
+node embeddings are ``branch.inject(trunk, branch.bank)``.  Without a tape, a
+drop branch injects only the rows it keeps.  Branches are independent except
+for the shared encoder (and, optionally, a shared token bank), so single-task
+models are just one-branch configs.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ class Branch:
 class ForwardOut:
     logits: dict          # task -> (1, classes) tensor
     aux: dict             # task -> the pool's aux dict ("kept" or "assignment")
-    refined: dict         # task -> (n, dim) post-injection tensor
+    trunk: T.Tensor       # (n, dim) shared node rows after the GCN
 
 
 class SlideGraphTransformer:
@@ -228,32 +230,44 @@ class SlideGraphTransformer:
         for _, p in self._params:
             p.grad[...] = 0.0
 
-    def forward(self, graph, rng, reuse=None):
-        """Run all branches on one tile graph; rng drives random pooling.
-
-        reuse is an earlier output of this model on this graph.  It skips the
-        input projection, the GCN and every injection: branches whose pool
-        draws no random numbers copy their logits and aux from it, and the
-        others (drop) pool and read out its refined rows again, drawing from
-        rng in branch order as a full forward does.
-        """
+    def trunk(self, graph):
+        """The shared node rows of one tile graph: input projection, then GCN."""
         if graph.node_features.shape[1] != self.config.input_dim:
             raise ContractError(
                 f"graph features have width {graph.node_features.shape[1]}, "
                 f"model expects {self.config.input_dim}")
-        if reuse is None:
-            h = T.constant(graph.node_features)
-            if self.input_proj is not None:
-                h = self.input_proj(h)
-            h = self.gcn(h, graph.norm_adj)
-        out = ForwardOut(logits={}, aux={}, refined={})
+        h = T.constant(graph.node_features)
+        if self.input_proj is not None:
+            h = self.input_proj(h)
+        return self.gcn(h, graph.norm_adj)
+
+    def forward(self, graph, rng, reuse=None):
+        """Run all branches on one tile graph; rng drives random pooling.
+
+        Branches run in order, so drop branches draw from rng in turn.  A
+        drop branch picks its kept rows from the row count alone, and
+        injection is row-local, so when no tape is recording it injects only
+        the rows it keeps; the logits are bitwise those of injecting every
+        row and then dropping, which it does while the tape records.
+
+        reuse is an earlier output of this model on this graph.  Its trunk
+        stands in for the input projection and the GCN; branches whose pool
+        draws no random numbers copy their logits and aux from it, and the
+        others (drop) draw, inject and read out again.
+        """
+        h = self.trunk(graph) if reuse is None else reuse.trunk
+        out = ForwardOut(logits={}, aux={}, trunk=h)
         for task, branch in self.branches.items():
-            refined = branch.inject(h, branch.bank) if reuse is None else reuse.refined[task]
-            out.refined[task] = refined
-            if reuse is not None and not branch.pool.draws:
+            pool = branch.pool
+            if reuse is not None and not pool.draws:
                 out.logits[task], out.aux[task] = reuse.logits[task], reuse.aux[task]
+            elif pool.draws and not T.is_recording():
+                kept = pool.select(h.shape[0], rng)
+                rows = branch.inject(T.take_rows(h, kept), branch.bank)
+                out.logits[task], out.aux[task] = branch.head(rows), {"kept": kept}
             else:
-                pooled, out.aux[task] = branch.pool(refined, graph.norm_adj, rng)
+                pooled, out.aux[task] = pool(branch.inject(h, branch.bank),
+                                             graph.norm_adj, rng)
                 out.logits[task] = branch.head(pooled)
         return out
 

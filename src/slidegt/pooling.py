@@ -14,7 +14,10 @@ on three ideas, one class each:
 - ``GraphMultisetPool`` cross-attends trainable seed rows over the nodes (gm).
 
 ``draws`` says whether a pool reads the rng it is handed.  Only drop does,
-so evaluation may reuse every other pool's output across drop seeds.
+so evaluation may reuse every other pool's output across drop seeds.  drop
+never reads the rows either: ``SelectPool.select(n, rng)`` picks its kept
+indices from the row count alone, which lets the model inject only those
+rows when no tape is recording.
 """
 
 from __future__ import annotations
@@ -56,12 +59,15 @@ class SelectPool:
             return (h.data @ self.w.data)[:, 0]
         return (norm_adj @ (h.data @ self.w.data))[:, 0]
 
+    def select(self, n, rng):
+        """drop's kept indices among n rows, sorted; reads rng, not the rows."""
+        return np.sort(rng.permutation(n)[:self.keep])
+
     def __call__(self, h, norm_adj, rng):
-        k = min(self.keep, h.shape[0])
         if self.draws:
-            kept = np.sort(rng.permutation(h.shape[0])[:k])
+            kept = self.select(h.shape[0], rng)
         else:
-            kept = np.argsort(-self._scores(h, norm_adj), kind="stable")[:k]
+            kept = np.argsort(-self._scores(h, norm_adj), kind="stable")[:self.keep]
         return T.take_rows(h, kept), {"kept": kept}
 
     def parameters(self, prefix):

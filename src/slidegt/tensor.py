@@ -48,6 +48,11 @@ def no_grad():
         _recording = previous
 
 
+def is_recording():
+    """Whether op outputs currently get tape nodes (False inside ``no_grad``)."""
+    return _recording
+
+
 def _ensure_finite(arr, what="tensor"):
     # A full-array sum is NaN or Inf iff some element is non-finite (finite
     # values can only overflow the sum near 1e308, far outside desk scale).

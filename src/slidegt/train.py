@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .data import stratified_folds
 from .errors import ConfigError, ContractError, NonFiniteError, TrainingDiverged
+from .fileio import write_atomic, write_json
 from .graph import build_graph
 from .losses import LossWeights, cross_entropy, mincut_loss, total_loss
 from .metrics import compute_metrics, mean_std
@@ -172,9 +173,11 @@ def evaluate(model, graphs, samples, indices, eval_drop_seeds=8):
     the sample id alone.  Models with random pooling additionally report, for
     every task, each metric averaged over ``eval_drop_seeds`` independent drop
     seeds (``*_seed_avg``): the mean of the per-seed metrics, not of logits.
-    Each slide's seeded draws reuse its first forward's encoder and injected
-    rows, so only the drop pools and their heads run again.  Nothing is
-    recorded on the tape.
+    Nothing is recorded on the tape, so each drop branch draws its kept rows
+    first and injects only those (bitwise the scores of injecting every row
+    and then dropping).  Each slide's seeded draws reuse its first forward's
+    trunk and its non-drop branches' outputs, so only the drop branches
+    inject their kept rows and read out again.
     """
     if eval_drop_seeds < 1:
         raise ConfigError(f"eval_drop_seeds must be >= 1, got {eval_drop_seeds}")
@@ -289,9 +292,14 @@ def run_training(cfg, dataset, out_dir=None):
         raise ConfigError(
             f"dataset feature width {dim} does not match model input_dim "
             f"{cfg.model.input_dim}")
+    folds = _dataset_folds(cfg, dataset)
+    sizes = np.bincount(folds, minlength=cfg.folds)
+    if not sizes.all():  # a cell with no held-out sample has nothing to score
+        raise ConfigError(
+            f"fold {int(np.argmin(sizes))} is empty: {cfg.folds} folds over "
+            f"{len(dataset.samples)} samples")
     if out_dir is not None:  # fail on a bad path before any fold trains
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    folds = _dataset_folds(cfg, dataset)
     jobs = [(run, fold) for run in range(cfg.runs) for fold in range(cfg.folds)]
     workers = cfg.workers
     cap = os.environ.get("SLIDEGT_WORKERS")
@@ -320,23 +328,21 @@ def run_training(cfg, dataset, out_dir=None):
     return report
 
 
+def _jsonl_bytes(records):
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
+
+
 def _write_report(report, dataset, out_dir):
     out = Path(out_dir)
-    with open(out / "metrics.jsonl", "w") as fh:
-        for record in report["records"]:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    with open(out / "summary.json", "w") as fh:
-        json.dump(report["summary"], fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_atomic(out / "metrics.jsonl", _jsonl_bytes(report["records"]))
+    write_json(out / "summary.json", report["summary"])
     manifest = {
         "package_version": __version__,
         "config": report["config"],
         "dataset_spec": dataset.spec.to_dict(),
         "n_samples": len(dataset.samples),
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
 
 
 def format_summary(summary, title="results"):
@@ -390,7 +396,5 @@ def run_ablation(cfg, dataset, axis, out_dir=None):
             dict(record, variant=name)
             for name, report in results for record in report["records"]
         ]
-        with open(Path(out_dir) / "ablation.jsonl", "w") as fh:
-            for record in combined:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        write_atomic(Path(out_dir) / "ablation.jsonl", _jsonl_bytes(combined))
     return results

@@ -7,6 +7,7 @@ from slidegt.cli import main
 from slidegt import fileio
 from slidegt.fileio import load_dataset, load_embeddings
 from slidegt.graph import build_graph
+from slidegt.tensor import constant, no_grad
 from test_fileio import _mutate_spec, rewrite_dataset_header, write_non_object_header
 
 SYNTH = ["synth", "--samples", "8", "--rows", "10", "--cols", "10",
@@ -85,10 +86,19 @@ def test_exported_embeddings_equal_the_refined_rows_of_a_forward(data_path, chec
     by_id = {s.sample_id: s for s in load_dataset(data_path).samples}
     assert len(blobs) == 2 * len(model.branches)
     for sid in (1, 4):
-        out = model.forward(build_graph(by_id[sid].grid), np.random.default_rng(0))
-        for task in model.branches:
+        graph = build_graph(by_id[sid].grid)
+        trunk = model.trunk(graph)  # the tape is on, as in training
+        for task, branch in model.branches.items():
             assert np.array_equal(blobs[f"sample_{sid:05d}/{task}"],
-                                  out.refined[task].data)
+                                  branch.inject(trunk, branch.bank).data)
+        # a no-tape forward injects only its kept typing rows; the exported
+        # rows at those indices read out to the same logits
+        with no_grad():
+            out = model.forward(graph, np.random.default_rng(sid))
+            typing = model.branches["typing"]
+            rows = blobs[f"sample_{sid:05d}/typing"][out.aux["typing"]["kept"]]
+            logits = typing.head(constant(rows)).data
+        assert np.array_equal(logits, out.logits["typing"].data)
 
 
 def test_gradcheck_command_passes_on_a_tiny_model(capsys):
@@ -259,6 +269,27 @@ def test_directory_given_as_a_file_exits_one(data_path, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_with_an_empty_fold_exits_one_and_writes_nothing(data_path, tmp_path,
+                                                              capsys):
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(data_path), "--out", str(out)]
+              + TRAIN_FLAGS + ["--folds", "9"])
+    assert rc == 1
+    assert "error: fold 8 is empty: 9 folds over 8 samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_out_on_a_directory_exits_one_and_leaves_no_temp_file(data_path, checkpoint,
+                                                                   tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    rc = main(["eval", "--checkpoint", str(checkpoint), "--data", str(data_path),
+               "--eval-drop-seeds", "2", "--out", str(target)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
 def test_train_out_on_a_file_exits_one_before_any_fold(data_path, tmp_path,
                                                        monkeypatch, capsys):
     import slidegt.train as tr
@@ -289,4 +320,13 @@ def test_export_rejects_a_repeated_sample_id(data_path, checkpoint, tmp_path, ca
                "--samples", "3", "0", "3"])
     assert rc == 1
     assert "error: sample id 3 is given more than once" in capsys.readouterr().err
+    assert not emb_path.exists()
+
+
+def test_export_rejects_an_empty_sample_list(data_path, checkpoint, tmp_path, capsys):
+    emb_path = tmp_path / "emb.mgte"
+    rc = main(["export-embeddings", "--checkpoint", str(checkpoint),
+               "--data", str(data_path), "--out", str(emb_path), "--samples"])
+    assert rc == 1
+    assert "error: --samples needs at least one sample id" in capsys.readouterr().err
     assert not emb_path.exists()

@@ -480,6 +480,36 @@ def test_dataset_truncation_is_rejected(tmp_path, tiny_ds):
             load_dataset(path)
 
 
+class _Unwritable:
+    """A part that fh.write rejects, after the parts before it are written."""
+
+
+def test_a_failed_write_keeps_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "model.mgtc"
+    path.write_bytes(b"old contents\n")
+    with pytest.raises(TypeError):
+        fileio.write_atomic(path, b"new contents, first part", _Unwritable())
+    assert path.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["model.mgtc"]
+    fileio.write_atomic(path, b"new ", b"contents")
+    assert path.read_bytes() == b"new contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["model.mgtc"]
+
+
+def test_a_checkpoint_that_fails_to_land_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "run0_fold0.mgtc"
+    path.write_bytes(b"old checkpoint")
+
+    def no_space(src, dst):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(fileio.os, "replace", no_space)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(SlideGraphTransformer(small_config(), seed=0), path)
+    assert path.read_bytes() == b"old checkpoint"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_parse_error_carries_offset():
     err = ParseError("boom", offset=17)
     assert err.offset == 17

@@ -68,14 +68,14 @@ def test_only_the_analytic_evaluation_records_a_tape():
     forward = model.forward
 
     def recording_forward(*args, **kw):
-        recording.append(T._recording)
+        recording.append(T.is_recording())
         return forward(*args, **kw)
 
     model.forward = recording_forward
     check_gradients(model, graph, labels)
     assert len(recording) > 2
     assert recording[0] and not any(recording[1:])
-    assert T._recording
+    assert T.is_recording()
 
 
 def test_tiny_model_passes_at_tolerance():

@@ -58,13 +58,15 @@ def test_forward_shapes_and_aux():
 def test_capture_embeddings_returns_refined_node_matrices():
     model = SlideGraphTransformer(small_config(), seed=5)
     g = small_graph(6)
-    out = model.forward(g, np.random.default_rng(0))
+    trunk = model.trunk(g)
+    assert trunk.shape == (g.n_nodes, 8)
+    refined = {task: branch.inject(trunk, branch.bank).data
+               for task, branch in model.branches.items()}
     for task in ("typing", "staging"):
-        emb = out.refined[task].data
+        emb = refined[task]
         assert emb.shape == (g.n_nodes, 8)
         assert np.isfinite(emb).all()
-    assert not np.array_equal(out.refined["typing"].data,
-                              out.refined["staging"].data)
+    assert not np.array_equal(refined["typing"], refined["staging"])
 
 
 def test_logits_are_invariant_to_node_relabeling():
@@ -205,7 +207,7 @@ def test_forward_reusing_an_output_equals_a_fresh_forward(pools):
             reused = model.forward(g, np.random.default_rng(seed), reuse=first)
         for task in ("typing", "staging"):
             assert_array_equal(reused.logits[task].data, fresh.logits[task].data)
-            assert reused.refined[task] is first.refined[task]
+        assert reused.trunk is first.trunk
         assert reused.aux.keys() == fresh.aux.keys()
         for task in fresh.aux:
             assert reused.aux[task].keys() == fresh.aux[task].keys()
@@ -215,3 +217,64 @@ def test_forward_reusing_an_output_equals_a_fresh_forward(pools):
             if pool != "drop":  # copied from the reused output, not recomputed
                 assert reused.logits[task] is first.logits[task]
 
+
+def _drop_configs():
+    def two(first, second, **kw):
+        return small_config(branches=(
+            BranchConfig(task="typing", pooling=first[0], tokens=3, pool_size=first[1]),
+            BranchConfig(task="staging", pooling=second[0], tokens=3, pool_size=second[1])),
+            head_init="random", **kw)
+
+    return {
+        "drop+gcmincut": two(("drop", 4), ("gcmincut", 2)),
+        "drop+drop": two(("drop", 4), ("drop", 3)),
+        "keep>=n": two(("drop", 40), ("gcmincut", 2)),
+        "shared-bank": two(("drop", 4), ("gcmincut", 2), token_scheme="shared"),
+        "sag+drop": two(("sag", 4), ("drop", 4)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_drop_configs()))
+def test_untaped_forward_injects_kept_rows_to_the_taped_logits(name):
+    """Without a tape a drop branch injects only its kept rows; the logits,
+    aux and the rng draws match a taped forward's bit for bit."""
+    model = SlideGraphTransformer(_drop_configs()[name], seed=31)
+    g = small_graph(32, rows=4, cols=5)
+    with T.no_grad():
+        first = model.forward(g, np.random.default_rng(99))
+    for seed in range(4):
+        taped = model.forward(g, np.random.default_rng(seed))
+        with T.no_grad():
+            plain = model.forward(g, np.random.default_rng(seed))
+            reused = model.forward(g, np.random.default_rng(seed), reuse=first)
+        for out in (plain, reused):
+            for task in model.branches:
+                assert np.array_equal(out.logits[task].data, taped.logits[task].data)
+                if "kept" in taped.aux[task]:
+                    assert_array_equal(out.aux[task]["kept"], taped.aux[task]["kept"])
+
+
+class _RowCounter:
+    """Stands in for an InjectionBlock and records the row count of each call."""
+
+    def __init__(self, block):
+        self.block = block
+        self.rows = []
+
+    def __call__(self, h, bank):
+        self.rows.append(h.shape[0])
+        return self.block(h, bank)
+
+
+def test_untaped_typing_injection_sees_only_the_kept_rows():
+    model = SlideGraphTransformer(small_config(), seed=33)
+    g = small_graph(34, rows=5, cols=6)
+    keep = model.branches["typing"].pool.keep
+    assert g.n_nodes > keep
+    counter = model.branches["typing"].inject = _RowCounter(model.branches["typing"].inject)
+    with T.no_grad():
+        first = model.forward(g, np.random.default_rng(0))
+        model.forward(g, np.random.default_rng(1), reuse=first)
+    assert counter.rows == [keep, keep]
+    model.forward(g, np.random.default_rng(0))  # the tape injects every row
+    assert counter.rows[-1] == g.n_nodes

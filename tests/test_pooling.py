@@ -58,6 +58,16 @@ def test_drop_is_deterministic_under_a_fixed_seed():
     assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("n, keep", [(10, 4), (4, 9), (1, 1)])
+def test_drop_select_matches_call_and_leaves_rng_alike(n, keep):
+    h = rand_h(np.random.default_rng(5), n, 3)
+    pool = SelectPool("drop", keep=keep)
+    rng_call, rng_select = np.random.default_rng(12), np.random.default_rng(12)
+    _, aux = pool(h, eye_adj(n), rng_call)
+    assert_array_equal(pool.select(n, rng_select), aux["kept"])
+    assert rng_select.bit_generator.state == rng_call.bit_generator.state
+
+
 def test_drop_subsets_are_uniform_chi_squared():
     # all 6 two-element subsets of 4 nodes should be equally likely
     pool = SelectPool("drop", keep=2)

@@ -318,7 +318,7 @@ def closure_tensors(fn):
 def test_op_cases_cover_every_op():
     ops = {name for name, fn in vars(T).items()
            if inspect.isfunction(fn) and fn.__module__ == T.__name__
-           and not name.startswith("_")} - {"no_grad", "backward", "constant"}
+           and not name.startswith("_")} - {"no_grad", "is_recording", "backward", "constant"}
     assert {name for name, _, _ in OP_CASES} == ops
 
 
@@ -445,7 +445,9 @@ def test_constant_wrapper_does_not_track_gradients():
 
 def test_no_grad_records_no_tape_and_restores_on_exception():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
+    assert T.is_recording()
     with T.no_grad():
+        assert not T.is_recording()
         y = T.matmul(w, w)
         assert not y.requires_grad
         assert y._node is None
@@ -455,6 +457,7 @@ def test_no_grad_records_no_tape_and_restores_on_exception():
     with pytest.raises(ContractError):
         with T.no_grad():
             raise ContractError("inside")
+    assert T.is_recording()
     z = T.matmul(w, w)
     assert z.requires_grad
     backward(T.sum_all(z))

@@ -320,6 +320,17 @@ def test_fold_override_restratifies(ds):
     assert_array_equal(tr._dataset_folds(tiny_train_config(), ds), ds.folds)
 
 
+def test_an_empty_fold_is_rejected_before_any_cell_trains(ds, tmp_path, monkeypatch):
+    def no_fold(*args, **kwargs):
+        raise AssertionError("a fold ran before the fold plan was checked")
+
+    monkeypatch.setattr(tr, "_run_fold", no_fold)
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="fold 10 is empty: 12 folds over 10 samples"):
+        run_training(tiny_train_config(folds=12), ds, out)
+    assert not out.exists()
+
+
 def test_dataset_width_mismatch_is_rejected(ds):
     cfg = tiny_train_config(model=tiny_model_config(input_dim=7))
     with pytest.raises(ConfigError, match="feature width"):
