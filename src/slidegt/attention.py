@@ -1,10 +1,11 @@
 """Multi-head dot-product attention.
 
 Heads split the model width (head width = dim / heads); each head projects
-queries, keys, and values separately, mixes values under a row softmax of the
-query-key scores, and the concatenated heads pass through one output
-projection.  Score scaling by 1/sqrt(head width) is on by default but can be
-disabled to recover the bare-product variant.
+the query rows to queries and the key rows to both keys and values, mixes the
+values under a row softmax of the query-key scores, and the concatenated
+heads pass through one output projection.  Score scaling by
+1/sqrt(head width) is on by default but can be disabled to recover the
+bare-product variant.
 """
 
 from __future__ import annotations
@@ -43,14 +44,11 @@ class MultiHeadWeights:
         return params
 
 
-def attend(weights, queries, keys, values):
-    """Mix values into one output row per query row.
+def attend(weights, queries, keys):
+    """Mix the key rows, projected as values, into one output row per query row.
 
-    queries: (n_q, dim); keys and values: (n_k, dim) with matching row counts.
+    queries: (n_q, dim); keys: (n_k, dim), which also serve as the values.
     """
-    if keys.shape[0] != values.shape[0]:
-        raise DimensionError(
-            f"key rows ({keys.shape[0]}) must match value rows ({values.shape[0]})")
     if keys.shape[0] == 0:
         raise ContractError("attention needs at least one key")
     if queries.shape[1] != weights.dim or keys.shape[1] != weights.dim:
@@ -62,7 +60,7 @@ def attend(weights, queries, keys, values):
     for i in range(weights.heads):
         q = T.matmul(queries, weights.wq[i])
         k = T.matmul(keys, weights.wk[i])
-        v = T.matmul(values, weights.wv[i])
+        v = T.matmul(keys, weights.wv[i])
         scores = T.matmul(q, T.transpose(k))
         if weights.scale_scores:
             scores = T.scale(scores, inv_scale)

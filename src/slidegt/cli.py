@@ -163,7 +163,8 @@ def _add_eval(sub):
     p.set_defaults(fn=_cmd_eval)
 
 
-def _cmd_eval(args):
+def _load_model_and_data(args):
+    """The checkpoint's model and the dataset, checked for one feature width."""
     from .fileio import load_checkpoint, load_dataset
 
     model = load_checkpoint(args.checkpoint)
@@ -173,13 +174,19 @@ def _cmd_eval(args):
         raise CheckpointError(
             f"checkpoint expects feature width {model.config.input_dim}, "
             f"dataset has {dim}")
+    return model, dataset
+
+
+def _cmd_eval(args):
+    model, dataset = _load_model_and_data(args)
     if args.fold is not None:
         indices = np.nonzero(dataset.folds == args.fold)[0]
         if indices.size == 0:
             raise ConfigError(f"fold {args.fold} has no samples")
     else:
         indices = np.arange(len(dataset.samples))
-    graphs = [build_graph(s.grid) for s in dataset.samples]
+    # evaluate reads graphs[si] for the scored indices only
+    graphs = {si: build_graph(dataset.samples[si].grid) for si in indices}
     results = evaluate(model, graphs, dataset.samples, indices,
                        args.eval_drop_seeds)
     for task, metrics in results.items():
@@ -235,15 +242,9 @@ def _add_export(sub):
 
 
 def _cmd_export(args):
-    from .fileio import load_checkpoint, load_dataset, save_embeddings
+    from .fileio import save_embeddings
 
-    model = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
-    dim = dataset.samples[0].grid.features.shape[1]
-    if dim != model.config.input_dim:
-        raise CheckpointError(
-            f"checkpoint expects feature width {model.config.input_dim}, "
-            f"dataset has {dim}")
+    model, dataset = _load_model_and_data(args)
     by_id = {s.sample_id: s for s in dataset.samples}
     if args.samples == []:
         raise ConfigError("--samples needs at least one sample id")

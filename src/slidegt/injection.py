@@ -38,7 +38,7 @@ class InjectionBlock:
         self.ln_out = LayerNorm(dim)
 
     def __call__(self, h_shared, bank):
-        mixed = attend(self.attn, h_shared, bank.tokens, bank.tokens)
+        mixed = attend(self.attn, h_shared, bank.tokens)
         z = self.ln_mix(T.add(h_shared, mixed))
         return self.ln_out(T.add(z, self.ff(z)))
 

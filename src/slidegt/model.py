@@ -142,7 +142,7 @@ class TransformerHead:
         x = T.concat_rows(self.cls, pooled)
         for layer in self.layers:
             a_in = layer["ln_attn"](x)
-            x = T.add(x, attend(layer["attn"], a_in, a_in, a_in))
+            x = T.add(x, attend(layer["attn"], a_in, a_in))
             f_in = layer["ln_ff"](x)
             x = T.add(x, layer["ff"](f_in))
         cls_row = T.take_rows(self.ln_final(x), np.array([0]))

@@ -11,8 +11,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-LAYER_NORM_EPS = 1e-5
-
 
 def glorot(rng, fan_in, fan_out):
     bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -26,34 +24,29 @@ def normal_param(rng, shape, std=0.02):
 class Linear:
     """Affine map x @ w + b on row-major feature matrices."""
 
-    def __init__(self, rng, d_in, d_out, bias=True, zero_init=False):
+    def __init__(self, rng, d_in, d_out, zero_init=False):
         if zero_init:
             self.w = Tensor(np.zeros((d_in, d_out)), requires_grad=True)
         else:
             self.w = glorot(rng, d_in, d_out)
-        self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
+        self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x):
-        out = T.matmul(x, self.w)
-        return T.add(out, self.b) if self.b is not None else out
+        return T.add(T.matmul(x, self.w), self.b)
 
     def parameters(self, prefix):
-        params = [(f"{prefix}.w", self.w)]
-        if self.b is not None:
-            params.append((f"{prefix}.b", self.b))
-        return params
+        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
 
 class LayerNorm:
     """Row-wise layer normalization with trainable scale and shift."""
 
-    def __init__(self, dim, eps=LAYER_NORM_EPS):
+    def __init__(self, dim):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x):
-        return T.layer_norm(x, self.gamma, self.beta, self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)
 
     def parameters(self, prefix):
         return [(f"{prefix}.gamma", self.gamma), (f"{prefix}.beta", self.beta)]

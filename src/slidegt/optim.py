@@ -1,4 +1,5 @@
-"""Adam with bias correction.
+"""Adam with bias correction, at the fixed decay rates beta1 = 0.9 and
+beta2 = 0.999 and the denominator guard eps = 1e-8.
 
 Parameters are visited in registration order every step, and moment buffers
 are plain f64 arrays, so two optimizers fed identical gradients stay bitwise
@@ -13,19 +14,17 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    def __init__(self, params, lr=1e-4, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr=1e-4):
         if lr <= 0.0:
             raise ConfigError(f"learning rate must be > 0, got {lr}")
-        b1, b2 = betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ConfigError(f"betas must lie in [0, 1), got {betas}")
         self.params = list(params)  # [(name, tensor)], order fixed
         self.lr = lr
-        self.b1 = b1
-        self.b2 = b2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for _, p in self.params]
         self.v = [np.zeros_like(p.data) for _, p in self.params]
@@ -36,14 +35,14 @@ class Adam:
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for i, (name, p) in enumerate(self.params):
             g = p.grad
             if not math.isfinite(float(g.sum())):
                 raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
-            self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * (g * g)
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * (g * g)
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -134,7 +134,7 @@ class GraphMultisetPool:
         self.attn = MultiHeadWeights(rng, dim, heads)
 
     def __call__(self, h, norm_adj, rng):
-        return attend(self.attn, self.seeds, h, h), {}
+        return attend(self.attn, self.seeds, h), {}
 
     def parameters(self, prefix):
         return ([(f"{prefix}.seeds", self.seeds)]

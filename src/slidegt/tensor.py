@@ -100,20 +100,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def constant(arr):
     """Wrap an existing f64 array without copying; caller must not mutate it."""
@@ -216,14 +202,12 @@ def backward(loss):
 
 
 def add(a, b):
-    """Elementwise a + b; b may also be a scalar or a row vector (bias)."""
+    """Elementwise a + b.  b has a's shape, or a is 2-D and b is a row bias
+    of shape ``(a.shape[1],)``."""
     need_b = b.requires_grad
     if a.shape == b.shape:
         def back(g):
             return g, g
-    elif b.shape == ():
-        def back(g):
-            return g, np.asarray(g.sum()) if need_b else None
     elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
         def back(g):
             return g, g.sum(axis=0) if need_b else None
@@ -233,29 +217,25 @@ def add(a, b):
 
 
 def sub(a, b):
-    """Elementwise a - b (same shape, or scalar b)."""
-    need_a, need_b = a.requires_grad, b.requires_grad
-    if a.shape == b.shape:
-        def back(g):
-            return g if need_a else None, -g if need_b else None
-    elif b.shape == ():
-        def back(g):
-            return g if need_a else None, np.asarray(-g.sum()) if need_b else None
-    else:
+    """Elementwise a - b.  b has a's shape."""
+    if a.shape != b.shape:
         raise DimensionError(f"sub: incompatible shapes {a.shape} and {b.shape}")
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def back(g):
+        return g if need_a else None, -g if need_b else None
+
     return _result(a.data - b.data, (a, b), back)
 
 
 def mul(a, b):
-    """Elementwise a * b; b may also be scalar or a broadcast column (n, 1)."""
+    """Elementwise a * b.  b has a's shape, or a is 2-D and b is a column
+    of shape ``(a.shape[0], 1)``, broadcast along each row."""
     a_data = a.data if b.requires_grad else None  # read only for b's gradient
     b_data = b.data if a.requires_grad else None
     if a.shape == b.shape:
         def reduce_b(gb):
             return gb
-    elif b.shape == ():
-        def reduce_b(gb):
-            return np.asarray(gb.sum())
     elif a.data.ndim == 2 and b.shape == (a.shape[0], 1):
         def reduce_b(gb):
             return gb.sum(axis=1, keepdims=True)

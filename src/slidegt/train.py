@@ -12,12 +12,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from . import tensor as T
 from .data import stratified_folds
 from .errors import ConfigError, ContractError, NonFiniteError, TrainingDiverged
 from .fileio import write_atomic, write_json
@@ -51,9 +52,6 @@ class TrainConfig:
     epochs: int = 40
     batch_size: int = 8
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     folds: int = 5
     runs: int = 3
@@ -71,12 +69,6 @@ class TrainConfig:
         # NaN fails every comparison, so each check asks for the good case
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr!r}")
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ConfigError(f"eps must be finite and > 0, got {self.eps!r}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {value!r}")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
         if self.runs < 1:
@@ -93,16 +85,7 @@ class TrainConfig:
                 raise ConfigError(f"weights.{name} must be finite and >= 0, got {w!r}")
 
     def to_dict(self):
-        d = {
-            "model": self.model.to_dict(),
-            "weights": {"typing": self.weights.typing,
-                        "staging": self.weights.staging,
-                        "mincut": self.weights.mincut},
-        }
-        for k in ("epochs", "batch_size", "lr", "beta1", "beta2", "eps", "seed",
-                  "folds", "runs", "paradigm", "eval_drop_seeds", "workers"):
-            d[k] = getattr(self, k)
-        return d
+        return dict(asdict(self), model=self.model.to_dict())
 
 
 def paradigm_model_config(model_cfg, paradigm):
@@ -126,12 +109,12 @@ def assemble_loss(out, graph, labels_by_task, weights):
     for aux in out.aux.values():
         if "assignment" in aux:
             term = mincut_loss(aux["assignment"], graph.norm_adj, graph.deg_tilde).total
-            mincut_total = term if mincut_total is None else mincut_total + term
+            mincut_total = term if mincut_total is None else T.add(mincut_total, term)
     return total_loss(task_losses, mincut_total, weights)
 
 
 def _train_model(cfg, model, graphs, samples, train_idx, run_seed, fold):
-    opt = Adam(model.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2), eps=cfg.eps)
+    opt = Adam(model.parameters(), lr=cfg.lr)
     for epoch in range(cfg.epochs):
         order = _rng(_TAG_SHUFFLE, run_seed, fold, epoch).permutation(train_idx)
         for start in range(0, len(order), cfg.batch_size):

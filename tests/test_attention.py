@@ -12,14 +12,14 @@ from slidegt.tensor import Tensor, constant
 seeds = st.integers(0, 2**32 - 1)
 
 
-def reference_attention(w, q, k, v):
+def reference_attention(w, q, k):
     """Independent loop oracle over heads, query rows, and key rows."""
     n_q, n_k = q.shape[0], k.shape[0]
     head_outs = []
     for h in range(w.heads):
         qh = q @ w.wq[h].data
         kh = k @ w.wk[h].data
-        vh = v @ w.wv[h].data
+        vh = k @ w.wv[h].data
         out = np.zeros((n_q, w.head_dim))
         for i in range(n_q):
             scores = np.array([qh[i] @ kh[j] for j in range(n_k)])
@@ -41,8 +41,8 @@ def test_matches_loop_oracle(seed, scaled):
                          scale_scores=scaled)
     q = rng.normal(0, 1, (3, dim))
     k = rng.normal(0, 1, (4, dim))
-    out = attend(w, constant(q), constant(k), constant(k))
-    assert_allclose(out.data, reference_attention(w, q, k, k), atol=1e-12)
+    out = attend(w, constant(q), constant(k))
+    assert_allclose(out.data, reference_attention(w, q, k), atol=1e-12)
 
 
 def test_single_key_ignores_scores():
@@ -53,8 +53,8 @@ def test_single_key_ignores_scores():
     k = rng.normal(0, 1, (1, dim))
     q1 = rng.normal(0, 1, (2, dim))
     q2 = rng.normal(0, 1, (2, dim))
-    out1 = attend(w, constant(q1), constant(k), constant(k)).data
-    out2 = attend(w, constant(q2), constant(k), constant(k)).data
+    out1 = attend(w, constant(q1), constant(k)).data
+    out2 = attend(w, constant(q2), constant(k)).data
     assert_allclose(out1, out2, atol=1e-12)
     assert_allclose(out1[0], out1[1], atol=1e-12)
 
@@ -63,12 +63,13 @@ def test_identical_keys_give_uniform_mixture():
     rng = np.random.default_rng(2)
     dim = 4
     w = MultiHeadWeights(np.random.default_rng(3), dim, 1)
-    key_row = rng.normal(0, 1, dim)
-    values = rng.normal(0, 1, (5, dim))
-    k = constant(np.tile(key_row, (5, 1)))
+    # a zero key projection maps every key row to the same key, so each query
+    # scores all rows alike and mixes their values uniformly
+    w.wk[0] = Tensor(np.zeros((dim, dim)), requires_grad=True)
+    rows = rng.normal(0, 1, (5, dim))
     q = constant(rng.normal(0, 1, (3, dim)))
-    out = attend(w, q, k, constant(values)).data
-    expected = np.tile(values.mean(axis=0) @ w.wv[0].data @ w.wo.data, (3, 1))
+    out = attend(w, q, constant(rows)).data
+    expected = np.tile(rows.mean(axis=0) @ w.wv[0].data @ w.wo.data, (3, 1))
     assert_allclose(out, expected, atol=1e-12)
 
 
@@ -78,11 +79,10 @@ def test_invariant_to_key_value_permutation(seed):
     dim = 6
     w = MultiHeadWeights(np.random.default_rng(seed + 1), dim, 3)
     q = rng.normal(0, 1, (2, dim))
-    k = rng.normal(0, 1, (5, dim))
-    v = rng.normal(0, 1, (5, dim))
+    k = rng.normal(0, 1, (5, dim))  # the key rows are also the values
     perm = rng.permutation(5)
-    base = attend(w, constant(q), constant(k), constant(v)).data
-    shuffled = attend(w, constant(q), constant(k[perm]), constant(v[perm])).data
+    base = attend(w, constant(q), constant(k)).data
+    shuffled = attend(w, constant(q), constant(k[perm])).data
     assert_allclose(shuffled, base, atol=1e-10)
 
 
@@ -93,10 +93,10 @@ def test_query_rows_are_independent(seed):
     w = MultiHeadWeights(np.random.default_rng(seed + 1), dim, 2)
     k = rng.normal(0, 1, (4, dim))
     q = rng.normal(0, 1, (3, dim))
-    base = attend(w, constant(q), constant(k), constant(k)).data
+    base = attend(w, constant(q), constant(k)).data
     q2 = q.copy()
     q2[2] += rng.normal(0, 1, dim)  # perturb only the last query row
-    moved = attend(w, constant(q2), constant(k), constant(k)).data
+    moved = attend(w, constant(q2), constant(k)).data
     assert_allclose(moved[:2], base[:2], atol=1e-12)
 
 
@@ -109,19 +109,14 @@ def test_gradients_match_fd():
     c = constant(rng.normal(0, 1, (2, dim)))
     params = [q, k] + [p for _, p in w.parameters("attn")]
     assert_grads_match_fd(
-        lambda: T.sum_all(T.mul(attend(w, q, k, k), c)), params, tol=2e-4)
+        lambda: T.sum_all(T.mul(attend(w, q, k), c)), params, tol=2e-4)
 
 
 def test_config_and_shape_errors():
     with pytest.raises(ConfigError, match="divide"):
         MultiHeadWeights(np.random.default_rng(0), 6, 4)
     w = MultiHeadWeights(np.random.default_rng(0), 4, 2)
-    with pytest.raises(DimensionError, match="key rows"):
-        attend(w, constant(np.zeros((2, 4))), constant(np.zeros((3, 4))),
-               constant(np.zeros((2, 4))))
     with pytest.raises(DimensionError, match="width"):
-        attend(w, constant(np.zeros((2, 5))), constant(np.zeros((3, 4))),
-               constant(np.zeros((3, 4))))
+        attend(w, constant(np.zeros((2, 5))), constant(np.zeros((3, 4))))
     with pytest.raises(ContractError, match="at least one key"):
-        attend(w, constant(np.zeros((2, 4))), constant(np.zeros((0, 4))),
-               constant(np.zeros((0, 4))))
+        attend(w, constant(np.zeros((2, 4))), constant(np.zeros((0, 4))))

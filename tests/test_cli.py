@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from slidegt import cli, fileio
 from slidegt.cli import main
-from slidegt import fileio
 from slidegt.fileio import load_dataset, load_embeddings
 from slidegt.graph import build_graph
 from slidegt.tensor import constant, no_grad
+from slidegt.train import evaluate
 from test_fileio import _mutate_spec, rewrite_dataset_header, write_non_object_header
 
 SYNTH = ["synth", "--samples", "8", "--rows", "10", "--cols", "10",
@@ -99,6 +100,29 @@ def test_exported_embeddings_equal_the_refined_rows_of_a_forward(data_path, chec
             rows = blobs[f"sample_{sid:05d}/typing"][out.aux["typing"]["kept"]]
             logits = typing.head(constant(rows)).data
         assert np.array_equal(logits, out.logits["typing"].data)
+
+
+def test_eval_fold_builds_graphs_only_for_the_scored_slides(data_path, checkpoint,
+                                                           tmp_path, monkeypatch):
+    built = []
+
+    def counting_build_graph(grid):
+        built.append(grid)
+        return build_graph(grid)
+
+    monkeypatch.setattr(cli, "build_graph", counting_build_graph)
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data_path),
+                 "--fold", "0", "--eval-drop-seeds", "2", "--out", str(out)]) == 0
+    dataset = load_dataset(data_path)
+    indices = np.nonzero(dataset.folds == 0)[0]
+    assert len(built) == len(indices) == 4
+    # the same file as scoring with a graph for every slide of the dataset
+    graphs = [build_graph(s.grid) for s in dataset.samples]
+    every = evaluate(fileio.load_checkpoint(checkpoint), graphs, dataset.samples,
+                     indices, 2)
+    fileio.write_json(tmp_path / "every.json", every)
+    assert out.read_bytes() == (tmp_path / "every.json").read_bytes()
 
 
 def test_gradcheck_command_passes_on_a_tiny_model(capsys):

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 from numpy.testing import assert_array_equal
 
 from slidegt import tensor as T
 from slidegt.gradcheck import (build_check_model, check_gradients,
                                relative_error)
+from slidegt.model import SlideGraphTransformer
 
 
 def test_relative_error_floor_damps_tiny_denominators():
@@ -81,5 +84,17 @@ def test_only_the_analytic_evaluation_records_a_tape():
 def test_tiny_model_passes_at_tolerance():
     model, graph, labels = build_check_model(
         nodes=6, dim=4, gcn_layers=1, heads=2, tokens=2, keep=2, clusters=2)
+    result = check_gradients(model, graph, labels)
+    assert result.worst < 1e-4
+
+
+def test_two_gcmincut_branches_pass_at_tolerance():
+    model, graph, labels = build_check_model(
+        nodes=6, dim=4, gcn_layers=1, heads=2, tokens=2, keep=2, clusters=2)
+    branches = tuple(replace(b, pooling="gcmincut", pool_size=2)
+                     for b in model.config.branches)
+    model = SlideGraphTransformer(replace(model.config, branches=branches), seed=1)
+    assert all("assignment" in aux
+               for aux in model.forward(graph, None).aux.values())
     result = check_gradients(model, graph, labels)
     assert result.worst < 1e-4

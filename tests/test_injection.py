@@ -21,7 +21,7 @@ def reference_layer_norm(x, gamma, beta, eps=1e-5):
 
 def reference_injection(block, bank, h):
     """Composed numpy oracle: cross-attention, residual norms, feed-forward."""
-    mixed = reference_attention(block.attn, h, bank.tokens.data, bank.tokens.data)
+    mixed = reference_attention(block.attn, h, bank.tokens.data)
     z = reference_layer_norm(h + mixed, block.ln_mix.gamma.data,
                              block.ln_mix.beta.data)
     ff = np.maximum(z @ block.ff.lin1.w.data + block.ff.lin1.b.data, 0.0)

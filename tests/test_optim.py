@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from slidegt import tensor as T
+from slidegt import optim, tensor as T
 from slidegt.errors import ConfigError, NonFiniteError
 from slidegt.optim import Adam
 from slidegt.tensor import Tensor, backward
@@ -11,11 +11,11 @@ from slidegt.tensor import Tensor, backward
 def test_trajectory_matches_scalar_recurrence():
     """Drive one scalar parameter with a fixed gradient stream and compare
     against the update rule written out longhand, step by step."""
-    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    lr, b1, b2, eps = 0.01, optim.BETA1, optim.BETA2, optim.EPS
     grads = np.random.default_rng(0).normal(0, 1, 20)
 
     p = Tensor(np.asarray([2.5]), requires_grad=True)
-    opt = Adam([("p", p)], lr=lr, betas=(b1, b2), eps=eps)
+    opt = Adam([("p", p)], lr=lr)
 
     x, m, v = 2.5, 0.0, 0.0
     for t, g in enumerate(grads, start=1):
@@ -73,5 +73,3 @@ def test_config_validation():
     p = Tensor(np.asarray([1.0]), requires_grad=True)
     with pytest.raises(ConfigError, match="learning rate"):
         Adam([("p", p)], lr=0.0)
-    with pytest.raises(ConfigError, match="betas"):
-        Adam([("p", p)], betas=(1.0, 0.999))
