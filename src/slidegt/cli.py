@@ -20,7 +20,7 @@ from .fileio import write_json
 from .gradcheck import build_check_model, check_gradients
 from .graph import build_graph
 from .losses import LossWeights
-from .model import BranchConfig, ModelConfig
+from .model import BranchConfig, ModelConfig, default_branches
 from .tensor import no_grad
 from .train import (ABLATION_AXES, PARADIGMS, TrainConfig, evaluate,
                     format_summary, run_ablation, run_training)
@@ -32,22 +32,23 @@ _ERRORS = (CheckpointError, ConfigError, ContractError, DimensionError,
 
 def _add_synth(sub):
     p = sub.add_parser("synth", help="generate a synthetic dataset file")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=SyntheticSpec.samples)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p.add_argument("--out", required=True)
-    p.add_argument("--rows", type=int, default=16)
-    p.add_argument("--cols", type=int, default=16)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--occupancy", type=float, default=0.85)
-    p.add_argument("--noise", type=float, default=0.5)
-    p.add_argument("--stage-threshold", type=float, default=0.25)
-    p.add_argument("--stage-spread", type=float, default=0.18)
-    p.add_argument("--regions", type=int, nargs=2, default=(1, 3),
+    p.add_argument("--rows", type=int, default=SyntheticSpec.rows)
+    p.add_argument("--cols", type=int, default=SyntheticSpec.cols)
+    p.add_argument("--dim", type=int, default=SyntheticSpec.dim)
+    p.add_argument("--occupancy", type=float, default=SyntheticSpec.occupancy)
+    p.add_argument("--noise", type=float, default=SyntheticSpec.noise_std)
+    p.add_argument("--stage-threshold", type=float, default=SyntheticSpec.stage_threshold)
+    p.add_argument("--stage-spread", type=float, default=SyntheticSpec.stage_spread)
+    p.add_argument("--regions", type=int, nargs=2, default=SyntheticSpec.region_count,
                    metavar=("LO", "HI"))
-    p.add_argument("--radius", type=float, nargs=2, default=(1.5, 4.5),
+    p.add_argument("--radius", type=float, nargs=2, default=SyntheticSpec.region_radius,
                    metavar=("LO", "HI"))
-    p.add_argument("--archetype-scale", type=float, default=1.0)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--archetype-scale", type=float, default=SyntheticSpec.archetype_scale)
+    p.add_argument("--folds", type=int, default=SyntheticSpec.folds,
+                   help="cross-validation folds, stored in the file")
     p.set_defaults(fn=_cmd_synth)
 
 
@@ -72,19 +73,20 @@ def _cmd_synth(args):
 
 
 def _add_model_flags(p):
+    typing, staging = default_branches()
     p.add_argument("--dim", type=int, default=None,
                    help="model width (default: dataset feature width)")
-    p.add_argument("--gcn-layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--transformer-depth", type=int, default=2)
-    p.add_argument("--latent-tokens", type=int, default=150)
-    p.add_argument("--drop-keep", type=int, default=100)
-    p.add_argument("--clusters", type=int, default=100)
+    p.add_argument("--gcn-layers", type=int, default=ModelConfig.gcn_layers)
+    p.add_argument("--heads", type=int, default=ModelConfig.heads)
+    p.add_argument("--transformer-depth", type=int, default=ModelConfig.transformer_depth)
+    p.add_argument("--latent-tokens", type=int, default=typing.tokens)
+    p.add_argument("--drop-keep", type=int, default=typing.pool_size)
+    p.add_argument("--clusters", type=int, default=staging.pool_size)
     p.add_argument("--token-scheme", choices=("specific", "shared"),
-                   default="specific")
-    p.add_argument("--typing-pool", default="drop")
-    p.add_argument("--staging-pool", default="gcmincut")
-    p.add_argument("--head-init", choices=("zero", "random"), default="zero")
+                   default=ModelConfig.token_scheme)
+    p.add_argument("--typing-pool", default=typing.pooling)
+    p.add_argument("--staging-pool", default=staging.pooling)
+    p.add_argument("--head-init", choices=("zero", "random"), default=ModelConfig.head_init)
     p.add_argument("--no-attention-scale", action="store_true",
                    help="drop the 1/sqrt(head width) factor on attention scores")
     p.add_argument("--relu-normalize-assignment", action="store_true",
@@ -93,23 +95,23 @@ def _add_model_flags(p):
 
 def _add_train_flags(p):
     p.add_argument("--data", required=True)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--runs", type=int, default=3)
-    p.add_argument("--paradigm", choices=PARADIGMS, default="multi")
-    p.add_argument("--w-typing", type=float, default=1.0)
-    p.add_argument("--w-staging", type=float, default=1.0)
-    p.add_argument("--w-mincut", type=float, default=1.0)
-    p.add_argument("--eval-drop-seeds", type=int, default=8)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--runs", type=int, default=TrainConfig.runs)
+    p.add_argument("--paradigm", choices=PARADIGMS, default=TrainConfig.paradigm)
+    p.add_argument("--w-typing", type=float, default=LossWeights.typing)
+    p.add_argument("--w-staging", type=float, default=LossWeights.staging)
+    p.add_argument("--w-mincut", type=float, default=LossWeights.mincut)
+    p.add_argument("--eval-drop-seeds", type=int, default=TrainConfig.eval_drop_seeds)
+    p.add_argument("--workers", type=int, default=TrainConfig.workers,
+                   help="process-pool workers, at most one per (run, fold) cell")
     _add_model_flags(p)
 
 
 def _build_train_config(args, dataset):
-    input_dim = dataset.samples[0].grid.features.shape[1]
+    input_dim = dataset.spec.dim
     dim = args.dim if args.dim is not None else input_dim
     branches = (
         BranchConfig(task="typing", pooling=args.typing_pool,
@@ -126,7 +128,7 @@ def _build_train_config(args, dataset):
         head_init=args.head_init, branches=branches)
     return TrainConfig(
         model=model, epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        seed=args.seed, folds=args.folds, runs=args.runs, paradigm=args.paradigm,
+        seed=args.seed, folds=dataset.spec.folds, runs=args.runs, paradigm=args.paradigm,
         weights=LossWeights(typing=args.w_typing, staging=args.w_staging,
                             mincut=args.w_mincut),
         eval_drop_seeds=args.eval_drop_seeds, workers=args.workers)
@@ -158,7 +160,7 @@ def _add_eval(sub):
     p.add_argument("--data", required=True)
     p.add_argument("--fold", type=int, default=None,
                    help="restrict to this fold's held-out samples")
-    p.add_argument("--eval-drop-seeds", type=int, default=8)
+    p.add_argument("--eval-drop-seeds", type=int, default=TrainConfig.eval_drop_seeds)
     p.add_argument("--out", default=None, help="write metrics as JSON")
     p.set_defaults(fn=_cmd_eval)
 
@@ -169,11 +171,10 @@ def _load_model_and_data(args):
 
     model = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    dim = dataset.samples[0].grid.features.shape[1]
-    if dim != model.config.input_dim:
+    if dataset.spec.dim != model.config.input_dim:
         raise CheckpointError(
             f"checkpoint expects feature width {model.config.input_dim}, "
-            f"dataset has {dim}")
+            f"dataset has {dataset.spec.dim}")
     return model, dataset
 
 

@@ -333,6 +333,8 @@ def load_dataset(path):
         raise ParseError(
             f"sample count {count} does not match header list ({len(meta)})",
             offset=count_at)
+    if count == 0:
+        raise ParseError("dataset has no samples", offset=count_at)
     samples = []
     folds = np.empty(count, dtype=np.int64)
     for i in range(count):
@@ -346,7 +348,10 @@ def load_dataset(path):
             grid = grid_from_bytes(grid_raw)
         except ParseError as exc:
             raise ParseError(f"sample {i}: {exc}", offset=grid_at) from None
-        n = grid.features.shape[0]
+        n, dim = grid.features.shape
+        if dim != spec.dim:
+            raise ParseError(f"sample {i}: feature width {dim}, spec says {spec.dim}",
+                             offset=grid_at)
         if mask_len != (n + 7) // 8:
             raise ParseError(
                 f"sample {i}: mask has {mask_len} bytes for {n} nodes", offset=mask_at)

@@ -57,12 +57,10 @@ class BranchConfig:
             raise ConfigError(f"task {self.task!r} needs positive tokens and pool size")
 
 
-def default_branches(tokens=150, drop_keep=100, clusters=100):
+def default_branches():
     """The standard two-task layout: drop pooling for typing, clustering for staging."""
-    return (
-        BranchConfig(task="typing", pooling="drop", tokens=tokens, pool_size=drop_keep),
-        BranchConfig(task="staging", pooling="gcmincut", tokens=tokens, pool_size=clusters),
-    )
+    return (BranchConfig(task="typing", pooling="drop"),
+            BranchConfig(task="staging", pooling="gcmincut"))
 
 
 @dataclass(frozen=True)

@@ -5,21 +5,25 @@ seed, fold, epoch, sample id), so a rerun with the same config and dataset
 reproduces parameters, metrics, and report files bit for bit.  A "batch" is a
 gradient accumulation group: per-sample gradients are summed, divided by the
 group size, and applied in one Adam step.
+
+The held-out folds are the ones the dataset file stores; ``TrainConfig.folds``
+must state their count.  Every (run, fold) cell runs through ``_run_cells``,
+serially or split over at most one pool worker per cell; either way each
+process builds every slide's graph once, and the files come out the same.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import tensor as T
-from .data import stratified_folds
 from .errors import ConfigError, ContractError, NonFiniteError, TrainingDiverged
 from .fileio import write_atomic, write_json
 from .graph import build_graph
@@ -34,7 +38,6 @@ _TAG_INIT = 101
 _TAG_SHUFFLE = 102
 _TAG_TRAIN_DROP = 103
 _TAG_EVAL_DROP = 104
-_TAG_FOLDS = 105
 
 PARADIGMS = ("multi", "single:type", "single:stage")
 _PARADIGM_TASKS = {"single:type": "typing", "single:stage": "staging"}
@@ -149,7 +152,7 @@ def _append_scores(scores, out):
         scores[task].append(float(softmax_1d(logits.data[0])[1]))
 
 
-def evaluate(model, graphs, samples, indices, eval_drop_seeds=8):
+def evaluate(model, graphs, samples, indices, eval_drop_seeds=TrainConfig.eval_drop_seeds):
     """Metrics per task on the given sample indices.
 
     Drop pooling is deterministic at eval time: the kept subset is seeded by
@@ -202,27 +205,19 @@ def evaluate(model, graphs, samples, indices, eval_drop_seeds=8):
     return results
 
 
-def _dataset_folds(cfg, dataset):
-    stored = int(dataset.folds.max()) + 1
-    if cfg.folds == stored:
-        return dataset.folds
-    joint = np.array([2 * s.label_type + s.label_stage for s in dataset.samples])
-    return stratified_folds(joint, cfg.folds, _rng(_TAG_FOLDS, cfg.seed))
-
-
 def _checkpoint_path(out_dir, run, fold):
     return Path(out_dir) / "checkpoints" / f"run{run}_fold{fold}.mgtc"
 
 
-def _run_fold(cfg, dataset, graphs, folds, run, fold, out_dir):
+def _run_fold(cfg, dataset, graphs, run, fold, out_dir):
     from .fileio import save_checkpoint
 
     run_seed = cfg.seed + run
     model_cfg = paradigm_model_config(cfg.model, cfg.paradigm)
     model = SlideGraphTransformer(
         model_cfg, np.random.SeedSequence([_TAG_INIT, run_seed, fold]))
-    train_idx = np.nonzero(folds != fold)[0]
-    test_idx = np.nonzero(folds == fold)[0]
+    train_idx = np.nonzero(dataset.folds != fold)[0]
+    test_idx = np.nonzero(dataset.folds == fold)[0]
     if cfg.epochs > 0 and train_idx.size:
         _train_model(cfg, model, graphs, dataset.samples, train_idx, run_seed, fold)
     results = evaluate(model, graphs, dataset.samples, test_idx, cfg.eval_drop_seeds)
@@ -238,9 +233,10 @@ def _run_fold(cfg, dataset, graphs, folds, run, fold, out_dir):
     return records
 
 
-def _fold_worker(cfg, dataset, folds, run, fold, out_dir):
+def _run_cells(cfg, dataset, jobs, out_dir):
+    """Each (run, fold) job's records, in job order; every graph is built once."""
     graphs = [build_graph(s.grid) for s in dataset.samples]
-    return _run_fold(cfg, dataset, graphs, folds, run, fold, out_dir)
+    return [_run_fold(cfg, dataset, graphs, run, fold, out_dir) for run, fold in jobs]
 
 
 def summarize(records):
@@ -270,13 +266,14 @@ def run_training(cfg, dataset, out_dir=None):
     Returns {"records": [...], "summary": {...}, "config": {...}}.
     """
     cfg.validate()
-    dim = dataset.samples[0].grid.features.shape[1]
-    if dim != cfg.model.input_dim:
+    if cfg.folds != dataset.spec.folds:
+        raise ConfigError(f"config states {cfg.folds} folds, but the dataset "
+                          f"stores {dataset.spec.folds}")
+    if dataset.spec.dim != cfg.model.input_dim:
         raise ConfigError(
-            f"dataset feature width {dim} does not match model input_dim "
+            f"dataset feature width {dataset.spec.dim} does not match model input_dim "
             f"{cfg.model.input_dim}")
-    folds = _dataset_folds(cfg, dataset)
-    sizes = np.bincount(folds, minlength=cfg.folds)
+    sizes = np.bincount(dataset.folds, minlength=cfg.folds)
     if not sizes.all():  # a cell with no held-out sample has nothing to score
         raise ConfigError(
             f"fold {int(np.argmin(sizes))} is empty: {cfg.folds} folds over "
@@ -284,26 +281,18 @@ def run_training(cfg, dataset, out_dir=None):
     if out_dir is not None:  # fail on a bad path before any fold trains
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     jobs = [(run, fold) for run in range(cfg.runs) for fold in range(cfg.folds)]
-    workers = cfg.workers
-    cap = os.environ.get("SLIDEGT_WORKERS")
-    if cap is not None:
-        try:
-            workers = max(1, min(workers, int(cap)))
-        except ValueError:
-            raise ConfigError(f"SLIDEGT_WORKERS must be an integer, got {cap!r}") from None
-    records = []
-    if workers > 1:
+    w = min(cfg.workers, len(jobs))
+    if w > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_fold_worker, cfg, dataset, folds, run, fold, out_dir)
-                       for run, fold in jobs]
-            for future in futures:  # submission order keeps records deterministic
-                records.extend(future.result())
+        # worker i takes jobs i, i + w, ...: the dataset ships once per worker
+        with ProcessPoolExecutor(max_workers=w) as pool:
+            shares = list(pool.map(partial(_run_cells, cfg, dataset, out_dir=out_dir),
+                                   [jobs[i::w] for i in range(w)]))
+        cells = [shares[k % w][k // w] for k in range(len(jobs))]
     else:
-        graphs = [build_graph(s.grid) for s in dataset.samples]
-        for run, fold in jobs:
-            records.extend(_run_fold(cfg, dataset, graphs, folds, run, fold, out_dir))
+        cells = _run_cells(cfg, dataset, jobs, out_dir)
+    records = [record for cell in cells for record in cell]
     report = {"records": records, "summary": summarize(records),
               "config": cfg.to_dict()}
     if out_dir is not None:

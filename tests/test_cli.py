@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,16 +9,18 @@ from slidegt import cli, fileio
 from slidegt.cli import main
 from slidegt.fileio import load_dataset, load_embeddings
 from slidegt.graph import build_graph
+from slidegt.model import ModelConfig
 from slidegt.tensor import constant, no_grad
-from slidegt.train import evaluate
-from test_fileio import _mutate_spec, rewrite_dataset_header, write_non_object_header
+from slidegt.train import TrainConfig, evaluate
+from test_fileio import (_mutate_spec, empty_dataset, narrowed_dataset,
+                         rewrite_dataset_header, write_non_object_header)
 
 SYNTH = ["synth", "--samples", "8", "--rows", "10", "--cols", "10",
          "--dim", "4", "--seed", "3", "--radius", "1.0", "2.5",
          "--folds", "2", "--noise", "0.5"]
 
 TRAIN_FLAGS = ["--epochs", "1", "--batch-size", "4", "--lr", "1e-3",
-               "--folds", "2", "--runs", "1", "--gcn-layers", "1",
+               "--runs", "1", "--gcn-layers", "1",
                "--heads", "2", "--transformer-depth", "1",
                "--latent-tokens", "3", "--drop-keep", "6", "--clusters", "2",
                "--eval-drop-seeds", "2"]
@@ -211,13 +215,6 @@ def test_missing_dataset_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_worker_cap_exits_one(data_path, monkeypatch, capsys):
-    monkeypatch.setenv("SLIDEGT_WORKERS", "two")
-    rc = main(["train", "--data", str(data_path)] + TRAIN_FLAGS)
-    assert rc == 1
-    assert "SLIDEGT_WORKERS must be an integer, got 'two'" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("flag, value, field", [
     ("--lr", "nan", "lr"), ("--lr", "inf", "lr"), ("--w-typing", "inf", "weights.typing"),
     ("--w-staging", "-inf", "weights.staging"), ("--w-mincut", "nan", "weights.mincut"),
@@ -295,12 +292,103 @@ def test_directory_given_as_a_file_exits_one(data_path, tmp_path, capsys):
 
 def test_train_with_an_empty_fold_exits_one_and_writes_nothing(data_path, tmp_path,
                                                               capsys):
+    path = tmp_path / "one_fold.mgts"
+    path.write_bytes(data_path.read_bytes())
+    rewrite_dataset_header(path, lambda h: [m.update(fold=0) for m in h["samples"]])
     out = tmp_path / "run"
-    rc = main(["train", "--data", str(data_path), "--out", str(out)]
-              + TRAIN_FLAGS + ["--folds", "9"])
+    rc = main(["train", "--data", str(path), "--out", str(out)] + TRAIN_FLAGS)
     assert rc == 1
-    assert "error: fold 8 is empty: 9 folds over 8 samples" in capsys.readouterr().err
+    assert "error: fold 1 is empty: 2 folds over 8 samples" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_train_and_ablate_have_no_fold_flag(data_path, command, capsys):
+    argv = [command, "--data", str(data_path), "--folds", "2"] + TRAIN_FLAGS
+    if command == "ablate":
+        argv += ["--axis", "tokens"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --folds 2" in capsys.readouterr().err
+
+
+def test_eval_of_a_cell_reproduces_its_training_record(data_path, checkpoint, tmp_path):
+    # the dataset file stores 2 folds and train holds out exactly those, so
+    # eval --fold 0 scores only the slides that run0_fold0 never trained on
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data_path),
+                 "--fold", "0", "--eval-drop-seeds", "2", "--out", str(out)]) == 0
+    lines = (checkpoint.parents[1] / "metrics.jsonl").read_text().splitlines()
+    cell = {r["task"]: {k: v for k, v in r.items() if k not in ("run", "fold", "task")}
+            for r in map(json.loads, lines) if (r["run"], r["fold"]) == (0, 0)}
+    assert set(cell) == {"typing", "staging"}
+    assert json.loads(out.read_text()) == cell
+
+
+@pytest.fixture(scope="module")
+def bad_datasets(data_path, tmp_path_factory):
+    """Files that load_dataset rejects: no samples, and sample 2 one column narrow."""
+    ds = load_dataset(data_path)
+    root = tmp_path_factory.mktemp("bad_data")
+    fileio.save_dataset(empty_dataset(ds), root / "empty.mgts")
+    fileio.save_dataset(narrowed_dataset(ds, 2), root / "narrow.mgts")
+    return root
+
+
+@pytest.mark.parametrize("name, message", [
+    ("empty", "dataset has no samples"),
+    ("narrow", "sample 2: feature width 3, spec says 4"),
+])
+@pytest.mark.parametrize("command", ["train", "eval", "export-embeddings"])
+def test_a_dataset_with_no_samples_or_a_narrow_sample_exits_one(
+        bad_datasets, checkpoint, tmp_path, command, name, message, capsys):
+    data = str(bad_datasets / f"{name}.mgts")
+    argv = {
+        "train": ["train", "--data", data] + TRAIN_FLAGS,
+        "eval": ["eval", "--checkpoint", str(checkpoint), "--data", data],
+        "export-embeddings": ["export-embeddings", "--checkpoint", str(checkpoint),
+                              "--data", data, "--out", str(tmp_path / "emb.mgte")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message} (byte offset ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_train_flag_defaults_are_the_config_defaults(data_path, monkeypatch):
+    parsed = []
+    monkeypatch.setattr(cli, "_cmd_train", lambda args: parsed.append(args) or 0)
+    assert main(["train", "--data", str(data_path)]) == 0
+    dataset = load_dataset(data_path)
+    d = dataset.spec.dim
+    assert cli._build_train_config(parsed[0], dataset) == TrainConfig(
+        model=ModelConfig(input_dim=d, dim=d), folds=dataset.spec.folds)
+
+
+def readme_commands():
+    """Every ``slidegt ...`` command in the README's code blocks, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in text.split("```")[1::2]:
+        for command in block.replace("\\\n", " ").splitlines():
+            if command.startswith("slidegt "):
+                commands.append(shlex.split(command)[1:])
+    return commands
+
+
+def test_readme_commands_parse(monkeypatch):
+    commands = readme_commands()
+    assert len(commands) >= 8
+    for name in dir(cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: 0)
+    for argv in commands:
+        try:
+            assert main(argv) == 0, argv
+        except SystemExit as exc:
+            pytest.fail(f"argparse rejects the README command {shlex.join(argv)!r} "
+                        f"(exit {exc.code})")
 
 
 def test_eval_out_on_a_directory_exits_one_and_leaves_no_temp_file(data_path, checkpoint,

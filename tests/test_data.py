@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -15,14 +17,25 @@ def small_ds():
     return generate(SMALL)
 
 
-def test_generation_is_bitwise_deterministic(small_ds):
-    again = generate(SMALL)
-    assert_array_equal(again.folds, small_ds.folds)
-    for a, b in zip(again.samples, small_ds.samples):
+def assert_same_samples(samples, others):
+    assert len(samples) == len(others)
+    for a, b in zip(samples, others):
         assert (a.label_type, a.label_stage) == (b.label_type, b.label_stage)
         assert_array_equal(a.grid.occupancy, b.grid.occupancy)
         assert (a.grid.features == b.grid.features).all()
         assert_array_equal(a.tumor_mask, b.tumor_mask)
+
+
+def test_generation_is_bitwise_deterministic(small_ds):
+    again = generate(SMALL)
+    assert_array_equal(again.folds, small_ds.folds)
+    assert_same_samples(again.samples, small_ds.samples)
+
+
+def test_another_fold_count_splits_the_same_samples(small_ds):
+    two = generate(replace(SMALL, folds=2))
+    assert np.bincount(two.folds).tolist() == [12, 12]
+    assert_same_samples(two.samples, small_ds.samples)
 
 
 def test_stage_label_threshold_is_strict():

@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -411,6 +412,36 @@ def test_dataset_with_corrupt_sample_names_it(tmp_path, tiny_ds):
     path.write_bytes(bytes(buf))
     with pytest.raises(ParseError, match="sample 0"):
         load_dataset(path)
+
+
+def empty_dataset(ds):
+    """ds with every sample removed."""
+    return replace(ds, samples=[], folds=ds.folds[:0])
+
+
+def narrowed_dataset(ds, i):
+    """ds whose sample i has lost its last feature column."""
+    samples = list(ds.samples)
+    grid = samples[i].grid
+    samples[i] = replace(samples[i], grid=replace(grid, features=grid.features[:, :-1]))
+    return replace(ds, samples=samples)
+
+
+def test_dataset_with_no_samples_is_rejected(tmp_path, tiny_ds):
+    path = tmp_path / "d.mgts"
+    save_dataset(empty_dataset(tiny_ds), path)
+    with pytest.raises(ParseError, match=r"^dataset has no samples \(byte offset \d+\)$"):
+        load_dataset(path)
+
+
+def test_sample_of_another_feature_width_is_rejected_at_its_grid(tmp_path, tiny_ds):
+    path = tmp_path / "d.mgts"
+    save_dataset(narrowed_dataset(tiny_ds, 2), path)
+    with pytest.raises(ParseError, match="^sample 2: feature width 3, spec says 4") as exc:
+        load_dataset(path)
+    raw = path.read_bytes()
+    grids = [i for i in range(len(raw)) if raw.startswith(b"MGT1", i)]
+    assert exc.value.offset == grids[2]
 
 
 def rewrite_dataset_header(path, mutate):

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
 
 from slidegt import tensor as T, train as tr
 from slidegt.data import SyntheticSpec, generate
@@ -181,12 +180,45 @@ def test_worker_pool_matches_serial_records(ds):
     assert rep_a["records"] == rep_b["records"]
 
 
-def test_worker_env_cap_limits_pool(ds, monkeypatch):
-    monkeypatch.setenv("SLIDEGT_WORKERS", "1")
-    # capped to the serial path; must still produce identical records
+def test_more_workers_than_cells_give_the_serial_records(ds, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     rep = run_training(tiny_train_config(epochs=0, workers=8), ds)
     ref = run_training(tiny_train_config(epochs=0, workers=1), ds)
     assert rep["records"] == ref["records"]
+    assert sizes == [2]  # one worker per (run, fold) cell, not eight
+
+
+def test_pool_writes_the_serial_run_s_files(tmp_path):
+    # two runs over two folds on 64x64 slides: each worker takes two cells
+    # whose records go back into job order, and the sums over a slide's
+    # n > 3,000 nodes must come out bitwise as in the serial run
+    data = generate(SyntheticSpec(samples=4, rows=64, cols=64, dim=32, seed=4, folds=2))
+    assert min(s.grid.features.shape[0] for s in data.samples) >= 3000
+    cfg = TrainConfig(model=CRITERION5, epochs=1, batch_size=2, lr=1e-3, folds=2,
+                      runs=2, eval_drop_seeds=2)
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    run_training(cfg, data, serial)
+    run_training(replace(cfg, workers=2), data, pooled)
+    names = sorted(str(f.relative_to(serial)) for f in serial.rglob("*") if f.is_file())
+    assert names == sorted(str(f.relative_to(pooled)) for f in pooled.rglob("*")
+                           if f.is_file())
+    assert len([n for n in names if n.endswith(".mgtc")]) == 4
+    for name in names:
+        if name != "manifest.json":
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+    manifests = [json.loads((d / "manifest.json").read_text()) for d in (serial, pooled)]
+    assert manifests[1]["config"].pop("workers") == 2
+    manifests[0]["config"].pop("workers")
+    assert manifests[0] == manifests[1]
 
 
 # ------------------------------------------------- accumulation-group purity
@@ -326,27 +358,24 @@ def test_single_task_training_reports_one_task(ds):
 # ------------------------------------------------------------------ fold plan
 
 
-def test_fold_override_restratifies(ds):
-    assert int(ds.folds.max()) + 1 == 2
-    cfg = tiny_train_config(epochs=0, folds=5)
-    folds = tr._dataset_folds(cfg, ds)
-    assert set(folds.tolist()) <= set(range(5))
-    joint = np.array([2 * s.label_type + s.label_stage for s in ds.samples])
-    for value in np.unique(joint):
-        counts = np.bincount(folds[joint == value], minlength=5)
-        assert counts.max() - counts.min() <= 1
-    # matching fold count reuses the stored assignment untouched
-    assert_array_equal(tr._dataset_folds(tiny_train_config(), ds), ds.folds)
+def no_fold(*args, **kwargs):
+    raise AssertionError("a fold ran before the fold plan was checked")
+
+
+def test_a_fold_count_other_than_the_stored_one_is_rejected(ds, tmp_path, monkeypatch):
+    monkeypatch.setattr(tr, "_run_fold", no_fold)
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="config states 5 folds, but the dataset stores 2"):
+        run_training(tiny_train_config(folds=5), ds, out)
+    assert not out.exists()
 
 
 def test_an_empty_fold_is_rejected_before_any_cell_trains(ds, tmp_path, monkeypatch):
-    def no_fold(*args, **kwargs):
-        raise AssertionError("a fold ran before the fold plan was checked")
-
     monkeypatch.setattr(tr, "_run_fold", no_fold)
     out = tmp_path / "run"
-    with pytest.raises(ConfigError, match="fold 10 is empty: 12 folds over 10 samples"):
-        run_training(tiny_train_config(folds=12), ds, out)
+    one_fold = replace(ds, folds=np.zeros_like(ds.folds))
+    with pytest.raises(ConfigError, match="fold 1 is empty: 2 folds over 10 samples"):
+        run_training(tiny_train_config(), one_fold, out)
     assert not out.exists()
 
 
