@@ -6,6 +6,15 @@ values under a row softmax of the query-key scores, and the concatenated
 heads pass through one output projection.  Score scaling by
 1/sqrt(head width) is on by default but can be disabled to recover the
 bare-product variant.
+
+An attention site is two tape ops: ``tensor.attention_heads`` computes every
+head at once (the per-head projections stacked, then the heads batched
+through ``np.matmul``) and ``tensor.matmul`` applies the output projection.
+The batched products repeat per head the 2-D products of one op per head, so
+every output and gradient bit is the same; ``np.einsum`` over the heads
+would sum in another order and change them.  The weights stay one
+(dim, head width) tensor per head and role, so parameter names, the
+initialization order and checkpoints do not depend on the fusion.
 """
 
 from __future__ import annotations
@@ -55,14 +64,6 @@ def attend(weights, queries, keys):
         raise DimensionError(
             f"attention width {weights.dim} does not match inputs "
             f"{queries.shape} / {keys.shape}")
-    inv_scale = 1.0 / np.sqrt(weights.head_dim)
-    heads = []
-    for i in range(weights.heads):
-        q = T.matmul(queries, weights.wq[i])
-        k = T.matmul(keys, weights.wk[i])
-        v = T.matmul(keys, weights.wv[i])
-        scores = T.matmul(q, T.transpose(k))
-        if weights.scale_scores:
-            scores = T.scale(scores, inv_scale)
-        heads.append(T.matmul(T.softmax_rows(scores), v))
-    return T.matmul(T.concat_cols(heads), weights.wo)
+    inv_scale = 1.0 / np.sqrt(weights.head_dim) if weights.scale_scores else None
+    mixed = T.attention_heads(queries, keys, weights.wq, weights.wk, weights.wv, inv_scale)
+    return T.matmul(mixed, weights.wo)

@@ -335,6 +335,8 @@ def load_dataset(path):
             offset=count_at)
     if count == 0:
         raise ParseError("dataset has no samples", offset=count_at)
+    if count != spec.samples:
+        raise ParseError(f"sample count {count}, spec says {spec.samples}", offset=count_at)
     samples = []
     folds = np.empty(count, dtype=np.int64)
     for i in range(count):

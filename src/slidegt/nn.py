@@ -32,7 +32,7 @@ class Linear:
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x):
-        return T.add(T.matmul(x, self.w), self.b)
+        return T.linear(x, self.w, self.b)
 
     def parameters(self, prefix):
         return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]

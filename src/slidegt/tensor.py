@@ -14,6 +14,14 @@ once: each node drops its closure and parents as soon as its closure has
 run, so the saved arrays are freed while the tape is replayed, and a second
 ``backward`` through a replayed node raises ``ContractError``.
 
+Ops are as coarse as the bits allow, since most of a small op's cost is
+per-op overhead: ``linear`` is ``x @ w + b`` in one op, and
+``attention_heads`` is every head of an attention site in one op.  It
+stacks the per-head projections and runs the heads batched through
+``np.matmul``, which repeats per head the 2-D product, operand layouts
+included, of one op per head, so every output and gradient keeps its bits;
+``np.einsum`` over the heads would sum in another order.
+
 Tensors are dense numpy arrays; a graph's sparse adjacency enters only as the
 fixed operator of ``spmm``.  Every op output is checked for NaN/Inf up front
 instead of letting bad values propagate into training.  Tensors are treated
@@ -202,17 +210,13 @@ def backward(loss):
 
 
 def add(a, b):
-    """Elementwise a + b.  b has a's shape, or a is 2-D and b is a row bias
-    of shape ``(a.shape[1],)``."""
-    need_b = b.requires_grad
-    if a.shape == b.shape:
-        def back(g):
-            return g, g
-    elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        def back(g):
-            return g, g.sum(axis=0) if need_b else None
-    else:
+    """Elementwise a + b.  b has a's shape."""
+    if a.shape != b.shape:
         raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}")
+
+    def back(g):
+        return g, g
+
     return _result(a.data + b.data, (a, b), back)
 
 
@@ -289,6 +293,25 @@ def matmul(a, b):
                 None if a_data is None else a_data.T @ g)
 
     return _result(a.data @ b.data, (a, b), back)
+
+
+def linear(x, w, b):
+    """Affine map x @ w + b: a 2-D x, a 2-D w and a row bias b of shape
+    ``(w.shape[1],)``, as one op."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != (w.shape[1],)):
+        raise DimensionError(
+            f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+    x_data = x.data if w.requires_grad else None  # read only for w's gradient
+    w_data = w.data if x.requires_grad else None
+    need_b = b.requires_grad
+
+    def back(g):
+        return (None if w_data is None else g @ w_data.T,
+                None if x_data is None else x_data.T @ g,
+                g.sum(axis=0) if need_b else None)
+
+    return _result(x.data @ w.data + b.data, (x, w, b), back)
 
 
 def spmm(adj, x):
@@ -380,6 +403,110 @@ def log_softmax_rows(a):
     return _result(out_data, (a,), back)
 
 
+# ----------------------------------------------------------------- attention
+
+
+def attention_heads(queries, keys, wqs, wks, wvs, inv_scale):
+    """Every head of one multi-head attention site, as one op.
+
+    Head i mixes the values ``keys @ wvs[i]`` under the row softmax of the
+    scores ``(queries @ wqs[i]) @ (keys @ wks[i]).T``, multiplied by
+    ``inv_scale`` unless it is ``None``; the output holds the heads side by
+    side.  The projections are stacked into (heads, rows, head width) arrays
+    and the heads then run batched through ``np.matmul``, which applies to
+    each head the 2-D product, with the operand layouts, that one op per head
+    applied, so the output and every gradient keep their bits (``np.einsum``
+    over the heads sums in another order and would not).
+
+    The parents are, from the last head to the first, ``keys`` (via the
+    values), ``wvs[i]``, ``keys`` (via the keys), ``wks[i]``, ``queries`` and
+    ``wqs[i]``: the tape adds the contributions to ``queries`` and ``keys``
+    one at a time, in the order of a replay of per-head ops.
+    """
+    heads = len(wqs)
+    if heads < 1 or len(wks) != heads or len(wvs) != heads:
+        raise ContractError(
+            f"attention_heads needs one wq, wk and wv per head, got "
+            f"{len(wqs)}/{len(wks)}/{len(wvs)}")
+    if queries.data.ndim != 2 or keys.data.ndim != 2 or queries.shape[1] != keys.shape[1]:
+        raise DimensionError(
+            f"attention_heads: incompatible shapes {queries.shape} and {keys.shape}")
+    (nq, dim), nk = queries.shape, keys.shape[0]
+    hd = wqs[0].shape[1] if wqs[0].data.ndim == 2 else None
+    for w in (*wqs, *wks, *wvs):
+        if w.shape != (dim, hd):
+            raise DimensionError(
+                f"attention_heads: weight shape {w.shape}, expected {(dim, hd)}")
+    wq = [w.data for w in wqs]
+    wk = [w.data for w in wks]
+    wv = [w.data for w in wvs]
+    # one product per head and role, stacked: each head's matrix has the
+    # contiguous layout of a per-head op's output, and BLAS sums some narrow
+    # or one-row products differently by width and layout
+    q = np.array([queries.data @ w for w in wq])        # (H, nq, hd)
+    _ensure_finite(q, "attention queries")
+    kT = np.array([(keys.data @ w).T for w in wk])      # (H, hd, nk)
+    _ensure_finite(kT, "attention keys")
+    v = np.array([keys.data @ w for w in wv])           # (H, nk, hd)
+    _ensure_finite(v, "attention values")
+    scores = np.matmul(q, kT)                           # (H, nq, nk)
+    if inv_scale is not None:
+        inv_scale = float(inv_scale)
+        scores = scores * inv_scale
+    _ensure_finite(scores, "attention scores")
+    # a max is exact in any order, and along the middle axis of a transposed
+    # copy numpy compares whole rows at once instead of short rows one by one
+    row_max = np.ascontiguousarray(scores.transpose(0, 2, 1)).max(axis=1)
+    e = np.exp(scores - row_max[:, :, None])
+    p = e / e.sum(axis=2, keepdims=True)
+    out_data = np.concatenate(np.matmul(p, v), axis=1)  # the heads side by side
+
+    need_queries, need_keys = queries.requires_grad, keys.requires_grad
+    need_wq = [w.requires_grad for w in wqs]
+    need_wk = [w.requires_grad for w in wks]
+    need_wv = [w.requires_grad for w in wvs]
+    q_path, k_path = need_queries or any(need_wq), need_keys or any(need_wk)
+    v_path = need_keys or any(need_wv)
+    # inputs only for the weights' gradients, weights only for the inputs'
+    queries_data = queries.data if any(need_wq) else None
+    keys_data = keys.data if any(need_wk) or any(need_wv) else None
+    wq = wq if need_queries else None
+    wk, wv = (wk, wv) if need_keys else (None, None)
+
+    def back(g):
+        g_heads = g.reshape(nq, heads, hd).transpose(1, 0, 2)        # (H, nq, hd)
+        g_v = np.matmul(p.transpose(0, 2, 1), g_heads) if v_path else None
+        g_q = g_k = None
+        if q_path or k_path:
+            g_p = np.matmul(g_heads, v.transpose(0, 2, 1))
+            g_s = (g_p - (g_p * p).sum(axis=2, keepdims=True)) * p
+            if inv_scale is not None:
+                g_s = g_s * inv_scale
+            if q_path:
+                g_q = np.matmul(g_s, kT.transpose(0, 2, 1))
+            if k_path:
+                g_k = np.matmul(q.transpose(0, 2, 1), g_s).transpose(0, 2, 1)
+        none = [None] * heads
+        # (H, hd, dim): each head's weight transposed, laid out as its own .T
+        keys_v = np.matmul(g_v, np.array(wv).transpose(0, 2, 1)) if need_keys else none
+        keys_k = np.matmul(g_k, np.array(wk).transpose(0, 2, 1)) if need_keys else none
+        queries_q = np.matmul(g_q, np.array(wq).transpose(0, 2, 1)) if need_queries else none
+        wv_g = np.matmul(keys_data.T, g_v) if any(need_wv) else none
+        wk_g = np.matmul(keys_data.T, g_k) if any(need_wk) else none
+        wq_g = np.matmul(queries_data.T, g_q) if any(need_wq) else none
+        grads = []
+        for i in reversed(range(heads)):
+            grads += [keys_v[i], wv_g[i] if need_wv[i] else None,
+                      keys_k[i], wk_g[i] if need_wk[i] else None,
+                      queries_q[i], wq_g[i] if need_wq[i] else None]
+        return grads
+
+    parents = []
+    for i in reversed(range(heads)):
+        parents += [keys, wvs[i], keys, wks[i], queries, wqs[i]]
+    return _result(out_data, tuple(parents), back)
+
+
 # ------------------------------------------------------------ normalization
 
 
@@ -396,8 +523,9 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match width {d}")
-    # centre once; the same operations as ``x.var``, so the same bits
-    centred = x.data - x.data.mean(axis=1, keepdims=True)
+    # centre once; a mean is a row sum / d, the operations of ``np.mean`` and
+    # ``x.var`` without their Python-level wrappers, so the same bits
+    centred = x.data - x.data.sum(axis=1, keepdims=True) / d
     var = (centred * centred).sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centred * inv
@@ -410,8 +538,8 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         if need_x:
             dxhat = g * gamma_data
             dx = inv * (dxhat
-                        - dxhat.mean(axis=1, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+                        - dxhat.sum(axis=1, keepdims=True) / d
+                        - xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / d))
         return (dx,
                 (g * xhat).sum(axis=0) if need_gamma else None,
                 g.sum(axis=0) if need_beta else None)
@@ -450,19 +578,3 @@ def concat_rows(a, b):
 
     return _result(np.concatenate([a.data, b.data], axis=0), (a, b), back)
 
-
-def concat_cols(parts):
-    """Concatenate 2-D tensors side by side."""
-    parts = tuple(parts)
-    if not parts:
-        raise ContractError("concat_cols needs at least one tensor")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[0] != rows:
-            raise DimensionError("concat_cols: row counts differ")
-    offsets = np.concatenate([[0], np.cumsum([p.shape[1] for p in parts])])
-
-    def back(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(offsets) - 1))
-
-    return _result(np.concatenate([p.data for p in parts], axis=1), parts, back)

@@ -4,10 +4,15 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import assert_grads_match_fd
+from slidegt import injection, model, pooling
 from slidegt import tensor as T
 from slidegt.attention import MultiHeadWeights, attend
 from slidegt.errors import ConfigError, ContractError, DimensionError
-from slidegt.tensor import Tensor, constant
+from slidegt.injection import InjectionBlock, TokenBank
+from slidegt.model import BranchConfig, ModelConfig, SlideGraphTransformer
+from slidegt.pooling import GraphMultisetPool
+from slidegt.tensor import Tensor, backward, constant
+from test_model import small_graph
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -120,3 +125,121 @@ def test_config_and_shape_errors():
         attend(w, constant(np.zeros((2, 5))), constant(np.zeros((3, 4))))
     with pytest.raises(ContractError, match="at least one key"):
         attend(w, constant(np.zeros((2, 4))), constant(np.zeros((0, 4))))
+
+
+# ------------------------------------------------ bits of the per-head ops
+
+
+def per_head_attend(w, queries, keys):
+    """Attention as one tape op per step of every head, the way it ran before
+    its heads were fused: the bitwise reference for ``attend``.  The heads are
+    stacked as transposed rows, which moves the same values as a side-by-side
+    concatenation."""
+    inv_scale = 1.0 / np.sqrt(w.head_dim)
+    stacked = None
+    for i in range(w.heads):
+        q = T.matmul(queries, w.wq[i])
+        k = T.matmul(keys, w.wk[i])
+        v = T.matmul(keys, w.wv[i])
+        scores = T.matmul(q, T.transpose(k))
+        if w.scale_scores:
+            scores = T.scale(scores, inv_scale)
+        head = T.transpose(T.matmul(T.softmax_rows(scores), v))
+        stacked = head if stacked is None else T.concat_rows(stacked, head)
+    return T.matmul(T.transpose(stacked), w.wo)
+
+
+def run_site(attend_fn, w, q_data, k_data, layout):
+    """Output bytes and every gradient's bytes of one attention site.
+
+    layout: "cross" (queries and keys are op outputs), "self" (the keys are
+    the queries), "constant-keys" (the keys need no gradient) or "leaves"
+    (queries and keys are parameters, as a token bank or gm seeds are)."""
+    for _, p in w.parameters("attn"):
+        p.grad[...] = 0.0
+    q_leaf = Tensor(q_data, requires_grad=True)
+    k_leaf = Tensor(k_data, requires_grad=True)
+    if layout == "leaves":
+        queries, keys = q_leaf, k_leaf
+    else:
+        queries = T.scale(q_leaf, 1.0)
+        keys = {"cross": lambda: T.scale(k_leaf, 1.0), "self": lambda: queries,
+                "constant-keys": lambda: constant(k_data)}[layout]()
+    out = attend_fn(w, queries, keys)
+    c = np.random.default_rng(3).normal(0, 1, out.shape)
+    backward(T.sum_all(T.mul(out, constant(c))))
+    grads = [q_leaf.grad, k_leaf.grad] + [p.grad for _, p in w.parameters("attn")]
+    return [out.data.tobytes()] + [g.tobytes() for g in grads]
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("scaled", [True, False])
+@pytest.mark.parametrize("layout", ["cross", "self", "constant-keys", "leaves"])
+@pytest.mark.parametrize("rows", [(5, 7), (37, 16), (1, 6), (4, 1)])
+def test_attend_keeps_the_bits_of_per_head_ops(heads, scaled, layout, rows):
+    # width 16 gives head widths 16 down to 1.  BLAS can sum a product of
+    # narrow, one-row or one-column operands differently by their width and
+    # layout, so a projection of all heads at once, or a head's matrix laid
+    # out as a view into it, would change bits here
+    nq, nk = (rows[0], rows[0]) if layout == "self" else rows
+    rng = np.random.default_rng(heads * 10 + nq)
+    q_data, k_data = rng.normal(0, 1, (nq, 16)), rng.normal(0, 1, (nk, 16))
+    w = MultiHeadWeights(np.random.default_rng(heads), 16, heads, scale_scores=scaled)
+    assert (run_site(attend, w, q_data, k_data, layout)
+            == run_site(per_head_attend, w, q_data, k_data, layout))
+
+
+def test_shared_bank_and_gm_pool_keep_the_bits_of_per_head_ops():
+    # one token bank read by two injection blocks, then gm seeds attending
+    # the refined rows: every attention parameter and the shared leaves
+    rng = np.random.default_rng(8)
+    bank = TokenBank(np.random.default_rng(1), 3, 8)
+    blocks = [InjectionBlock(np.random.default_rng(2 + i), 8, heads=2) for i in range(2)]
+    pool = GraphMultisetPool(np.random.default_rng(4), 8, 2, heads=4)
+    h_data = rng.normal(0, 1, (6, 8))
+    params = ([bank.tokens, pool.seeds]
+              + [p for b in blocks for _, p in b.parameters("b")]
+              + [p for _, p in pool.parameters("gm")])
+
+    def run(attend_fn, monkeypatch):
+        monkeypatch.setattr(injection, "attend", attend_fn)
+        monkeypatch.setattr(pooling, "attend", attend_fn)
+        for p in params:
+            p.grad[...] = 0.0
+        h = Tensor(h_data, requires_grad=True)
+        rows = T.add(blocks[0](h, bank), blocks[1](h, bank))
+        out, _ = pool(rows, None, None)
+        backward(T.sum_all(T.mul(out, out)))
+        return [out.data.tobytes(), h.grad.tobytes()] + [p.grad.tobytes() for p in params]
+
+    with pytest.MonkeyPatch.context() as mp:
+        fused = run(attend, mp)
+    with pytest.MonkeyPatch.context() as mp:
+        assert run(per_head_attend, mp) == fused
+
+
+@pytest.mark.parametrize("scheme, pooling_kinds", [
+    ("specific", ("drop", "gcmincut")),
+    ("shared", ("gm", "gcmincut")),
+])
+def test_model_keeps_the_bits_of_per_head_ops(scheme, pooling_kinds):
+    config = ModelConfig(
+        input_dim=5, dim=8, gcn_layers=1, heads=2, transformer_depth=2,
+        token_scheme=scheme, head_init="random",
+        branches=tuple(BranchConfig(task=task, pooling=kind, tokens=3, pool_size=3)
+                       for task, kind in zip(("typing", "staging"), pooling_kinds)))
+    graph = small_graph(5, rows=4, cols=4)
+
+    def run(attend_fn):
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (injection, pooling, model):
+                mp.setattr(module, "attend", attend_fn)
+            net = SlideGraphTransformer(config, seed=2)
+            out = net.forward(graph, np.random.default_rng(0))
+            loss = T.add(T.sum_all(T.mul(out.logits["typing"], out.logits["typing"])),
+                         T.sum_all(out.logits["staging"]))
+            backward(loss)
+            return ([out.logits[t].data.tobytes() for t in sorted(out.logits)]
+                    + [p.grad.tobytes() for _, p in net.parameters()])
+
+    assert run(attend) == run(per_head_attend)

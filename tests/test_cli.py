@@ -12,7 +12,7 @@ from slidegt.graph import build_graph
 from slidegt.model import ModelConfig
 from slidegt.tensor import constant, no_grad
 from slidegt.train import TrainConfig, evaluate
-from test_fileio import (_mutate_spec, empty_dataset, narrowed_dataset,
+from test_fileio import (_mutate_spec, cut_dataset, empty_dataset, narrowed_dataset,
                          rewrite_dataset_header, write_non_object_header)
 
 SYNTH = ["synth", "--samples", "8", "--rows", "10", "--cols", "10",
@@ -328,17 +328,20 @@ def test_eval_of_a_cell_reproduces_its_training_record(data_path, checkpoint, tm
 
 @pytest.fixture(scope="module")
 def bad_datasets(data_path, tmp_path_factory):
-    """Files that load_dataset rejects: no samples, and sample 2 one column narrow."""
+    """Files that load_dataset rejects: no samples, sample 2 one column narrow,
+    and 3 of the spec's 8 samples."""
     ds = load_dataset(data_path)
     root = tmp_path_factory.mktemp("bad_data")
     fileio.save_dataset(empty_dataset(ds), root / "empty.mgts")
     fileio.save_dataset(narrowed_dataset(ds, 2), root / "narrow.mgts")
+    fileio.save_dataset(cut_dataset(ds, 3), root / "cut.mgts")
     return root
 
 
 @pytest.mark.parametrize("name, message", [
     ("empty", "dataset has no samples"),
     ("narrow", "sample 2: feature width 3, spec says 4"),
+    ("cut", "sample count 3, spec says 8"),
 ])
 @pytest.mark.parametrize("command", ["train", "eval", "export-embeddings"])
 def test_a_dataset_with_no_samples_or_a_narrow_sample_exits_one(

@@ -434,6 +434,20 @@ def test_dataset_with_no_samples_is_rejected(tmp_path, tiny_ds):
         load_dataset(path)
 
 
+def cut_dataset(ds, count):
+    """ds cut to its first count samples, its header spec unchanged."""
+    return replace(ds, samples=ds.samples[:count], folds=ds.folds[:count])
+
+
+def test_dataset_with_fewer_samples_than_its_spec_is_rejected(tmp_path, tiny_ds):
+    path = tmp_path / "d.mgts"
+    save_dataset(cut_dataset(tiny_ds, 3), path)
+    with pytest.raises(ParseError, match=r"^sample count 3, spec says 6 \(byte offset \d+\)$") as exc:
+        load_dataset(path)
+    at = exc.value.offset
+    assert path.read_bytes()[at:at + 4] == (3).to_bytes(4, "little")  # the count's
+
+
 def test_sample_of_another_feature_width_is_rejected_at_its_grid(tmp_path, tiny_ds):
     path = tmp_path / "d.mgts"
     save_dataset(narrowed_dataset(tiny_ds, 2), path)

@@ -336,6 +336,34 @@ def test_forward_tape_of_a_64x64_sample_stays_small():
     backward(loss)
 
 
+def ops_made(fn):
+    """The value of fn() and the tensors (tape op ids) it made."""
+    start = next(T._op_counter)
+    value = fn()
+    return value, next(T._op_counter) - start - 1
+
+
+def test_criterion5_forward_op_budget():
+    # one tape op per attention site and per Linear: a training sample's
+    # forward and loss make 98 ops, and an eval slide's full forward plus its
+    # four drop-seed forwards average 32.4; an op split back up shows here
+    sample = generate(SyntheticSpec(samples=2, rows=16, cols=16, dim=32, seed=4,
+                                    folds=2)).samples[0]
+    graph = build_graph(sample.grid)
+    model = SlideGraphTransformer(CRITERION5, np.random.SeedSequence([101, 0, 0]))
+    labels = {task: sample.label(task) for task in model.branches}
+    loss, train_ops = ops_made(lambda: tr.assemble_loss(
+        model.forward(graph, np.random.default_rng(0)), graph, labels, LossWeights()))
+    backward(loss)
+    assert train_ops <= 98
+    with T.no_grad():
+        first, full_ops = ops_made(lambda: model.forward(graph, np.random.default_rng(1)))
+        reuse_ops = [ops_made(lambda: model.forward(graph, np.random.default_rng(j),
+                                                    reuse=first))[1] for j in range(4)]
+    assert full_ops < 78
+    assert (full_ops + sum(reuse_ops)) / 5 < 78
+
+
 # ------------------------------------------------------------------ paradigms
 
 
