@@ -10,6 +10,7 @@ the same rows each time, and another seed keeps another subset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,8 @@ def build_check_model(nodes=12, dim=8, gcn_layers=2, heads=2, tokens=3,
 
 
 def check_gradients(model, graph, labels, step=1e-5, weights=None, seed=0):
-    """Max relative error per parameter between backward and central FD.
+    """Max relative error per parameter between backward and central FD; a
+    non-finite analytic or finite-difference value counts as an infinite error.
 
     Each loss evaluation seeds the drop pool's rng with ``seed``; the
     finite-difference evaluations run under ``no_grad()`` and record no tape."""
@@ -92,7 +94,9 @@ def check_gradients(model, graph, labels, step=1e-5, weights=None, seed=0):
                 down = loss_value().item()
                 flat[i] = original
                 fd = (up - down) / (2.0 * step)
-                worst = max(worst, relative_error(grads[i], fd))
+                # a NaN error would lose every comparison: count it as infinite
+                error = relative_error(grads[i], fd)
+                worst = max(worst, error if math.isfinite(error) else math.inf)
             per_param.append((name, worst))
     worst_name, worst = max(per_param, key=lambda kv: kv[1])
     return GradCheckResult(per_param=per_param, worst=worst, worst_param=worst_name)

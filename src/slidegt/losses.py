@@ -6,6 +6,9 @@ and rewards assignments that keep edges inside clusters (computed from the
 normalized N = D^-1/2 A D^-1/2 as <N Z, Z>/<Z, Z> with Z = D^1/2 S); the
 orthogonality term || S'S/||S'S||_F - I/sqrt(p) ||_F lives in [0, 2] and
 rewards balanced, near-hard assignments.
+
+Each of the two is one tape op in ``tensor`` (``cross_entropy`` and
+``mincut_terms``); this module checks their inputs and weighs the terms.
 """
 
 from __future__ import annotations
@@ -30,13 +33,14 @@ class LossWeights:
 
 
 class MinCutTerms(NamedTuple):
-    cut: Tensor
-    ortho: Tensor
+    cut: float
+    ortho: float
     total: Tensor
 
 
 def cross_entropy(logits, labels):
-    """Mean negative log-likelihood of integer labels under row softmax.
+    """Mean negative log-likelihood of integer labels under row softmax, as
+    one tape op (``tensor.cross_entropy``).
 
     logits: (B, C) tensor; labels: length-B sequence of ints in [0, C).
     """
@@ -48,39 +52,24 @@ def cross_entropy(logits, labels):
         raise ContractError(f"expected {b} labels, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ContractError(f"labels must lie in [0, {c}), got {labels.tolist()}")
-    onehot = np.zeros((b, c))
-    onehot[np.arange(b), labels] = 1.0
-    picked = T.mul(T.log_softmax_rows(logits), T.constant(onehot))
-    return T.scale(T.sum_all(picked), -1.0 / b)
+    return T.cross_entropy(logits, labels)
 
 
 def mincut_loss(s, norm_adj, deg_tilde):
-    """Cut and orthogonality terms for a soft assignment.
+    """Cut and orthogonality terms for a soft assignment, as one tape op
+    (``tensor.mincut_terms``).
 
     s: (n, p) tensor with rows on the simplex; norm_adj: (n, n) normalized
     self-loop adjacency operator; deg_tilde: (n,) self-loop degrees.
-    Returns (cut, ortho, total).
+    Returns (cut, ortho, total): two floats and the scalar tensor cut + ortho.
     """
-    n, p = s.shape
-    if p < 1:
+    if s.shape[1] < 1:
         raise ContractError("assignment needs at least one cluster column")
-    row_sums = s.data.sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=1e-6):
+    # the bound of np.allclose(row_sums, 1.0, atol=1e-6): atol + rtol * |1|
+    if not np.abs(s.data.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-6 + 1e-5:
         raise ContractError("assignment rows must sum to 1")
-
-    root_deg = T.constant(np.sqrt(np.asarray(deg_tilde, dtype=np.float64)).reshape(n, 1))
-    z = T.mul(s, root_deg)
-    cut_num = T.sum_all(T.mul(T.spmm(norm_adj, z), z))
-    cut_den = T.sum_all(T.mul(z, z))
-    cut = T.scale(T.div(cut_num, cut_den), -1.0)
-
-    sts = T.matmul(T.transpose(s), s)
-    fro = T.sqrt(T.sum_all(T.mul(sts, sts)))
-    target = T.constant(np.eye(p) / np.sqrt(p))
-    diff = T.sub(T.div(sts, fro), target)
-    ortho = T.sqrt(T.sum_all(T.mul(diff, diff)))
-
-    return MinCutTerms(cut, ortho, T.add(cut, ortho))
+    total, cut, ortho = T.mincut_terms(s, norm_adj, deg_tilde)
+    return MinCutTerms(cut, ortho, total)
 
 
 def total_loss(task_losses, mincut_total, weights):

@@ -20,7 +20,9 @@ per-op overhead: ``linear`` is ``x @ w + b`` in one op, and
 stacks the per-head projections and runs the heads batched through
 ``np.matmul``, which repeats per head the 2-D product, operand layouts
 included, of one op per head, so every output and gradient keeps its bits;
-``np.einsum`` over the heads would sum in another order.
+``np.einsum`` over the heads would sum in another order.  Each loss term is
+one op too (``cross_entropy``, ``mincut_terms``), whose backward repeats in
+replay order the arithmetic of the chain of generic ops it stands for.
 
 Tensors are dense numpy arrays; a graph's sparse adjacency enters only as the
 fixed operator of ``spmm``.  Every op output is checked for NaN/Inf up front
@@ -220,18 +222,6 @@ def add(a, b):
     return _result(a.data + b.data, (a, b), back)
 
 
-def sub(a, b):
-    """Elementwise a - b.  b has a's shape."""
-    if a.shape != b.shape:
-        raise DimensionError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def back(g):
-        return g if need_a else None, -g if need_b else None
-
-    return _result(a.data - b.data, (a, b), back)
-
-
 def mul(a, b):
     """Elementwise a * b.  b has a's shape, or a is 2-D and b is a column
     of shape ``(a.shape[0], 1)``, broadcast along each row."""
@@ -254,19 +244,16 @@ def mul(a, b):
 
 
 def div(a, b):
-    """Elementwise a / b (same shape) or a / scalar-tensor b."""
-    if b.shape not in ((), a.shape):
+    """Elementwise a / b.  b has a's shape."""
+    if a.shape != b.shape:
         raise DimensionError(f"div: incompatible shapes {a.shape} and {b.shape}")
-    need_a, scalar_b = a.requires_grad, b.shape == ()
+    need_a = a.requires_grad
     a_data = a.data if b.requires_grad else None  # read only for b's gradient
     b_data = b.data
 
     def back(g):
-        ga = g / b_data if need_a else None
-        if a_data is None:
-            return ga, None
-        gb = -g * a_data / (b_data * b_data)
-        return ga, np.asarray(gb.sum()) if scalar_b else gb
+        return (g / b_data if need_a else None,
+                None if a_data is None else -g * a_data / (b_data * b_data))
 
     return _result(a.data / b.data, (a, b), back)
 
@@ -349,15 +336,6 @@ def relu(a):
     return _result(np.where(mask, a.data, 0.0), (a,), back)
 
 
-def sqrt(a):
-    out_data = np.sqrt(a.data)
-
-    def back(g):
-        return (g * 0.5 / out_data,)
-
-    return _result(out_data, (a,), back)
-
-
 # ---------------------------------------------------------------- reductions
 
 
@@ -378,7 +356,9 @@ def softmax_rows(a):
     """Row-wise softmax of a 2-D tensor (shift-invariant, numerically safe)."""
     if a.data.ndim != 2:
         raise DimensionError(f"softmax_rows needs a 2-D tensor, got shape {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    # a max is exact in any order, and along the first axis of a transposed
+    # copy numpy compares whole rows at once instead of short rows one by one
+    shifted = a.data - np.ascontiguousarray(a.data.T).max(axis=0)[:, None]
     e = np.exp(shifted)
     out_data = e / e.sum(axis=1, keepdims=True)
 
@@ -389,18 +369,83 @@ def softmax_rows(a):
     return _result(out_data, (a,), back)
 
 
-def log_softmax_rows(a):
-    if a.data.ndim != 2:
-        raise DimensionError(f"log_softmax_rows needs a 2-D tensor, got shape {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out_data = shifted - lse
-    soft = np.exp(out_data)
+# -------------------------------------------------------------------- losses
+
+
+def cross_entropy(logits, labels):
+    """Mean negative log-likelihood of ``labels`` under the row softmax of
+    ``logits``, as a scalar tensor.
+
+    logits: (B, C) tensor; labels: (B,) integer array of classes in [0, C),
+    which ``losses.cross_entropy`` checks.  The picked log-probabilities are
+    the log-softmax times a one-hot mask, summed over the whole (B, C) array.
+    """
+    x = logits.data
+    b, c = x.shape
+    onehot = np.zeros((b, c))
+    onehot[np.arange(b), labels] = 1.0
+    shifted = x - x.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    soft = np.exp(log_p)
+    weight = -1.0 / b
 
     def back(g):
-        return (g - soft * g.sum(axis=1, keepdims=True),)
+        g_log_p = float(g * weight) * onehot
+        return (g_log_p - soft * g_log_p.sum(axis=1, keepdims=True),)
 
-    return _result(out_data, (a,), back)
+    return _result((log_p * onehot).sum() * weight, (logits,), back)
+
+
+def mincut_terms(s, norm_adj, deg_tilde):
+    """The clustering regularizer of a soft assignment, as one op.
+
+    s: (n, p) tensor; norm_adj: a fixed (n, n) operator (see ``spmm``);
+    deg_tilde: (n,) self-loop degrees.  With z = D^1/2 s, the cut term is
+    -<N z, z>/<z, z> and the orthogonality term ||s's/||s's||_F - I/sqrt(p)||_F.
+    Returns ``(cut + ortho, cut, ortho)``: a scalar tensor and two floats.
+
+    The backward sums its three gradients for ``s`` (through s's, through
+    the transposed copy that s's is made from, and through z) in that order,
+    the order a replay of the op chain adds them.  It keeps that chain's bits
+    whenever no op made after this one reads ``s``.  Where ortho is exactly 0
+    (always at p = 1) its norm has no gradient and the ortho path is skipped:
+    the subgradient 0, and at p = 1 ortho is constant.
+    """
+    if (s.data.ndim != 2 or norm_adj.shape[1] != s.shape[0]
+            or np.shape(deg_tilde) != s.shape[:1]):
+        raise DimensionError(
+            f"mincut_terms: incompatible shapes {s.shape}, {norm_adj.shape} "
+            f"and {np.shape(deg_tilde)}")
+    n, p = s.shape
+    s_data = s.data
+    root_deg = np.sqrt(np.asarray(deg_tilde, dtype=np.float64)).reshape(n, 1)
+    z = s_data * root_deg
+    nz = norm_adj @ z
+    cut_num = (nz * z).sum()
+    cut_den = (z * z).sum()
+    cut = -(cut_num / cut_den)
+    s_t = s_data.T.copy()
+    sts = s_t @ s_data
+    fro = np.sqrt((sts * sts).sum())
+    diff = sts / fro - np.eye(p) / np.sqrt(p)
+    ortho = np.sqrt((diff * diff).sum())
+
+    def back(g):
+        g_s = None
+        if ortho != 0.0:  # ortho's norm, diff * diff, diff / fro, fro's norm, s's
+            g_diff = float(g * 0.5 / ortho) * diff
+            g_diff = g_diff + g_diff
+            g_fro = (-g_diff * sts / (fro * fro)).sum()
+            g_sts = float(g_fro * 0.5 / fro) * sts
+            g_sts = g_diff / fro + g_sts + g_sts
+            g_s = s_t.T @ g_sts + (g_sts @ s_data.T).T
+        # cut = -num / den: den = <z, z>, then num = <N z, z>, then z = D^1/2 s
+        g_num = float(-g / cut_den)
+        g_den = float(g * cut_num / (cut_den * cut_den))
+        g_z = (g_den * z + g_den * z + g_num * nz + norm_adj @ (g_num * z)) * root_deg
+        return (g_z if g_s is None else g_s + g_z,)
+
+    return _result(cut + ortho, (s,), back), float(cut), float(ortho)
 
 
 # ----------------------------------------------------------------- attention

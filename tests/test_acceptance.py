@@ -206,7 +206,7 @@ def test_criterion_3_clustering_loss_properties():
         raw = rng.random((n, p)) + 1e-9
         s = raw / raw.sum(axis=1, keepdims=True)
         terms = mincut_loss(constant(s), *normalized(adj))
-        cut, ortho = float(terms.cut.data), float(terms.ortho.data)
+        cut, ortho = terms.cut, terms.ortho
         in_bounds &= -1.0 - 1e-9 <= cut <= 1e-9 and -1e-12 <= ortho <= 2.0 + 1e-9
         lo_cut, hi_cut = min(lo_cut, cut), max(hi_cut, cut)
         lo_o, hi_o = min(lo_o, ortho), max(hi_o, ortho)
@@ -216,8 +216,7 @@ def test_criterion_3_clustering_loss_properties():
     hard[:3, 0] = 1.0
     hard[3:, 1] = 1.0
     terms = mincut_loss(constant(hard), adj, deg)
-    exact = (abs(float(terms.cut.data) + 1.0) < 1e-12
-             and abs(float(terms.ortho.data)) < 1e-12)
+    exact = abs(terms.cut + 1.0) < 1e-12 and abs(terms.ortho) < 1e-12
 
     x = Tensor(np.random.default_rng(4).normal(0, 0.1, (6, 2)),
                requires_grad=True)
@@ -226,7 +225,7 @@ def test_criterion_3_clustering_loss_properties():
         opt.zero_grad()
         backward(mincut_loss(T.softmax_rows(x), adj, deg).total)
         opt.step()
-    final_cut = float(mincut_loss(T.softmax_rows(x), adj, deg).cut.data)
+    final_cut = mincut_loss(T.softmax_rows(x), adj, deg).cut
 
     ok = in_bounds and exact and final_cut <= -0.9
     report(3, ok,

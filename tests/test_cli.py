@@ -1,5 +1,6 @@
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,16 @@ def test_synth_writes_a_loadable_dataset(data_path, capsys):
     ds = load_dataset(data_path)
     assert len(ds.samples) == 8
     assert ds.spec.dim == 4
+
+
+def test_one_cluster_training_exits_zero_without_warnings(data_path, tmp_path, capsys):
+    # the last --clusters wins
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--data", str(data_path), "--out", str(tmp_path)]
+                  + TRAIN_FLAGS + ["--clusters", "1"])
+    assert rc == 0, capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_full_pipeline_train_eval_export(data_path, tmp_path, capsys):

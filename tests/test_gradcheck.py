@@ -1,7 +1,9 @@
 from dataclasses import replace
 
+import numpy as np
 from numpy.testing import assert_array_equal
 
+from slidegt import cli, gradcheck
 from slidegt import tensor as T
 from slidegt.gradcheck import (build_check_model, check_gradients,
                                relative_error)
@@ -98,3 +100,29 @@ def test_two_gcmincut_branches_pass_at_tolerance():
                for aux in model.forward(graph, None).aux.values())
     result = check_gradients(model, graph, labels)
     assert result.worst < 1e-4
+
+
+def test_one_cluster_gradients_are_finite_and_pass():
+    # one cluster makes the orthogonality term exactly 0, where its norm has
+    # no gradient; the loss op takes the subgradient 0 there
+    model, graph, labels = build_check_model(
+        nodes=6, dim=4, gcn_layers=1, heads=2, tokens=2, keep=2, clusters=1)
+    result = check_gradients(model, graph, labels)
+    assert all(np.isfinite(p.grad).all() for _, p in model.parameters())
+    assert result.worst < 1e-4
+
+
+def test_a_nan_gradient_fails_the_check(monkeypatch, capsys):
+    def nan_backward(loss):
+        T.backward(loss)
+        dict(model.parameters())["gcn.layer0.w"].grad[0, 0] = np.nan
+
+    model, graph, labels = build_check_model(
+        nodes=6, dim=4, gcn_layers=1, heads=2, tokens=2, keep=2, clusters=2)
+    monkeypatch.setattr(gradcheck, "backward", nan_backward)
+    monkeypatch.setattr(cli, "build_check_model", lambda **kw: (model, graph, labels))
+    rc = cli.main(["gradcheck"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "worst relative error inf at gcn.layer0.w" in out
+    assert out.rstrip().endswith("FAIL")

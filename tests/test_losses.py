@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,10 +7,16 @@ from numpy.testing import assert_allclose
 
 from conftest import assert_grads_match_fd
 from slidegt import tensor as T
+from slidegt import train as tr
+from slidegt.data import SyntheticSpec, generate
 from slidegt.errors import ContractError
-from slidegt.losses import LossWeights, cross_entropy, mincut_loss, total_loss
+from slidegt.graph import build_graph
+from slidegt.losses import (LossWeights, MinCutTerms, cross_entropy, mincut_loss,
+                            total_loss)
+from slidegt.model import SlideGraphTransformer
 from slidegt.optim import Adam
 from slidegt.tensor import Tensor, backward, constant
+from test_train import CRITERION5, ops_made
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -96,8 +104,8 @@ def test_hard_assignment_on_disjoint_cliques_is_exact():
     s[3:, 1] = 1.0
     terms = mincut_loss(constant(s), adj, deg)
     # block-perfect clustering: cut term at its floor, ortho term at its floor
-    assert abs(float(terms.cut.data) - (-1.0)) < 1e-12
-    assert abs(float(terms.ortho.data)) < 1e-12
+    assert abs(terms.cut - (-1.0)) < 1e-12
+    assert abs(terms.ortho) < 1e-12
     assert abs(float(terms.total.data) - (-1.0)) < 1e-12
 
 
@@ -107,8 +115,8 @@ def test_uniform_assignment_on_cliques_matches_closed_form():
     terms = mincut_loss(constant(s), adj, deg)
     # S'S = 1.5 * ones(2); ||S'S||_F = 3; normalized matrix is all 1/2
     expected_ortho = np.sqrt(2 * (0.5 - 1 / np.sqrt(2)) ** 2 + 2 * 0.25)
-    assert_allclose(float(terms.cut.data), -1.0, atol=1e-12)
-    assert_allclose(float(terms.ortho.data), expected_ortho, atol=1e-12)
+    assert_allclose(terms.cut, -1.0, atol=1e-12)
+    assert_allclose(terms.ortho, expected_ortho, atol=1e-12)
 
 
 def reference_mincut(s, adj, deg):
@@ -131,8 +139,8 @@ def test_mincut_matches_trace_oracle(seed):
     s = raw / raw.sum(axis=1, keepdims=True)
     terms = mincut_loss(constant(s), *normalized(adj))
     cut_ref, ortho_ref = reference_mincut(s, adj, deg)
-    assert_allclose(float(terms.cut.data), cut_ref, atol=1e-10)
-    assert_allclose(float(terms.ortho.data), ortho_ref, atol=1e-10)
+    assert_allclose(terms.cut, cut_ref, atol=1e-10)
+    assert_allclose(terms.ortho, ortho_ref, atol=1e-10)
 
 
 def test_term_bounds_hold_over_random_sweep():
@@ -145,8 +153,8 @@ def test_term_bounds_hold_over_random_sweep():
         raw = rng.random((n, p)) + 1e-6
         s = raw / raw.sum(axis=1, keepdims=True)
         terms = mincut_loss(constant(s), *normalized(adj))
-        assert -1.0 - 1e-9 <= float(terms.cut.data) <= 0.0 + 1e-9
-        assert 0.0 <= float(terms.ortho.data) <= 2.0 + 1e-9
+        assert -1.0 - 1e-9 <= terms.cut <= 0.0 + 1e-9
+        assert 0.0 <= terms.ortho <= 2.0 + 1e-9
 
 
 def test_mincut_gradient_matches_fd():
@@ -169,7 +177,7 @@ def test_optimizing_assignment_recovers_the_planted_cut():
         backward(terms.total)
         opt.step()
     final = mincut_loss(T.softmax_rows(x), adj, deg)
-    assert float(final.cut.data) <= -0.9
+    assert final.cut <= -0.9
 
 
 def test_mincut_rejects_bad_assignments():
@@ -211,3 +219,142 @@ def test_total_loss_skips_absent_terms():
 def test_total_loss_rejects_unknown_task():
     with pytest.raises(ContractError, match="no loss weight"):
         total_loss({"grading": constant(np.asarray(1.0))}, None, LossWeights())
+
+
+# ------------------------------------------------ one op per loss, every bit kept
+#
+# The op chains that both losses once were, kept as oracles.  Four of their
+# ops have no other caller, so they are rebuilt here as they were.
+
+
+def chain_sub(a, b):
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def back(g):
+        return g if need_a else None, -g if need_b else None
+
+    return T._result(a.data - b.data, (a, b), back)
+
+
+def chain_div_by_scalar(a, b):
+    need_a = a.requires_grad
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data
+
+    def back(g):
+        ga = g / b_data if need_a else None
+        if a_data is None:
+            return ga, None
+        return ga, np.asarray((-g * a_data / (b_data * b_data)).sum())
+
+    return T._result(a.data / b.data, (a, b), back)
+
+
+def chain_sqrt(a):
+    out_data = np.sqrt(a.data)
+
+    def back(g):
+        return (g * 0.5 / out_data,)
+
+    return T._result(out_data, (a,), back)
+
+
+def chain_log_softmax_rows(a):
+    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    out_data = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    soft = np.exp(out_data)
+
+    def back(g):
+        return (g - soft * g.sum(axis=1, keepdims=True),)
+
+    return T._result(out_data, (a,), back)
+
+
+def chain_cross_entropy(logits, labels):
+    b, c = logits.shape
+    onehot = np.zeros((b, c))
+    onehot[np.arange(b), labels] = 1.0
+    picked = T.mul(chain_log_softmax_rows(logits), constant(onehot))
+    return T.scale(T.sum_all(picked), -1.0 / b)
+
+
+def chain_mincut_loss(s, norm_adj, deg_tilde):
+    n, p = s.shape
+    z = T.mul(s, constant(np.sqrt(np.asarray(deg_tilde, dtype=np.float64)).reshape(n, 1)))
+    cut_num = T.sum_all(T.mul(T.spmm(norm_adj, z), z))
+    cut_den = T.sum_all(T.mul(z, z))
+    cut = T.scale(chain_div_by_scalar(cut_num, cut_den), -1.0)
+    sts = T.matmul(T.transpose(s), s)
+    fro = chain_sqrt(T.sum_all(T.mul(sts, sts)))
+    diff = chain_sub(chain_div_by_scalar(sts, fro), constant(np.eye(p) / np.sqrt(p)))
+    ortho = chain_sqrt(T.sum_all(T.mul(diff, diff)))
+    return MinCutTerms(float(cut.data), float(ortho.data), T.add(cut, ortho))
+
+
+LOSS_MODELS = {
+    "criterion5": CRITERION5,
+    "relu_normalize": replace(CRITERION5, assign_softmax=False),
+    "two_gcmincut": replace(CRITERION5, branches=(
+        replace(CRITERION5.branches[0], pooling="gcmincut", pool_size=4),
+        CRITERION5.branches[1])),
+}
+
+
+@pytest.mark.parametrize("side", [16, 64])
+@pytest.mark.parametrize("variant", sorted(LOSS_MODELS))
+def test_loss_ops_keep_the_bits_of_the_op_chains(variant, side, monkeypatch):
+    sample = generate(SyntheticSpec(samples=2, rows=side, cols=side, dim=32, seed=4,
+                                    folds=2)).samples[0]
+    graph = build_graph(sample.grid)
+    model = SlideGraphTransformer(LOSS_MODELS[variant], seed=side)
+    labels = {task: sample.label(task) for task in model.branches}
+    weights = LossWeights(typing=0.7, staging=1.3, mincut=0.4)
+
+    def step():
+        model.zero_grad()
+        loss = tr.assemble_loss(model.forward(graph, np.random.default_rng(0)), graph,
+                                labels, weights)
+        backward(loss)
+        return [loss.data.tobytes()] + [p.grad.tobytes() for _, p in model.parameters()]
+
+    fused = step()
+    monkeypatch.setattr(tr, "cross_entropy", chain_cross_entropy)
+    monkeypatch.setattr(tr, "mincut_loss", chain_mincut_loss)
+    assert step() == fused
+
+
+@given(seeds)
+def test_loss_ops_keep_the_bits_of_the_op_chains_on_random_inputs(seed):
+    rng = np.random.default_rng(seed)
+    b, c = int(rng.integers(1, 6)), int(rng.integers(2, 8))
+    logits_data, labels = rng.normal(0, 3, (b, c)), rng.integers(0, c, b)
+    # from two clusters: at one, the chain's gradients are NaN
+    n, p = int(rng.integers(2, 9)), int(rng.integers(2, 6))
+    adj = (rng.random((n, n)) < 0.5).astype(float)
+    adj = np.triu(adj, 1)
+    adj = adj + adj.T + np.eye(n)
+    x_data = rng.normal(0, 1, (n, p))
+
+    def run(ce, mc):
+        logits = Tensor(logits_data, requires_grad=True)
+        x = Tensor(x_data, requires_grad=True)
+        loss = T.add(ce(logits, labels), mc(T.softmax_rows(x), *normalized(adj)).total)
+        backward(loss)
+        return loss.data.tobytes(), logits.grad.tobytes(), x.grad.tobytes()
+
+    assert run(cross_entropy, mincut_loss) == run(chain_cross_entropy, chain_mincut_loss)
+
+
+def test_each_loss_is_one_tape_op():
+    rng = np.random.default_rng(5)
+    adj, deg = two_triangles()
+    x = Tensor(rng.normal(0, 1, (6, 2)), requires_grad=True)
+    s = T.softmax_rows(x)
+    terms, made = ops_made(lambda: mincut_loss(s, adj, deg))
+    assert made == 1
+    assert terms.total._node.parents == (s._node,)
+    assert isinstance(terms.cut, float) and isinstance(terms.ortho, float)
+    assert terms.total.item() == terms.cut + terms.ortho
+    loss, made = ops_made(lambda: cross_entropy(x, [1, 0, 0, 1, 1, 0]))
+    assert made == 1
+    assert loss._node.parents == (x._node,)
