@@ -8,13 +8,13 @@ heads pass through one output projection.  Score scaling by
 bare-product variant.
 
 An attention site is two tape ops: ``tensor.attention_heads`` computes every
-head at once (the per-head projections stacked, then the heads batched
-through ``np.matmul``) and ``tensor.matmul`` applies the output projection.
-The batched products repeat per head the 2-D products of one op per head, so
-every output and gradient bit is the same; ``np.einsum`` over the heads
-would sum in another order and change them.  The weights stay one
-(dim, head width) tensor per head and role, so parameter names, the
-initialization order and checkpoints do not depend on the fusion.
+head at once (the projections batched over the heads through ``np.matmul``)
+and ``tensor.matmul`` applies the output projection.  Each role's weights
+are one (heads, dim, head width) stack, so a site has four parameters for any
+head count.  The batched products repeat per head the 2-D products of one op
+per head on that head's contiguous block, so every output and gradient bit
+is the same; ``np.einsum`` over the heads would sum in another order and
+change them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ from .nn import glorot
 
 
 class MultiHeadWeights:
-    """Projection weights for one attention site."""
+    """Projection weights for one attention site: ``wq``, ``wk`` and ``wv``
+    are (heads, dim, head width) stacks, ``wo`` the (dim, dim) output
+    projection."""
 
     def __init__(self, rng, dim, heads, scale_scores=True):
         if heads < 1:
@@ -38,19 +40,14 @@ class MultiHeadWeights:
         self.heads = heads
         self.head_dim = dim // heads
         self.scale_scores = scale_scores
-        self.wq = [glorot(rng, dim, self.head_dim) for _ in range(heads)]
-        self.wk = [glorot(rng, dim, self.head_dim) for _ in range(heads)]
-        self.wv = [glorot(rng, dim, self.head_dim) for _ in range(heads)]
+        self.wq = glorot(rng, dim, self.head_dim, (heads,))
+        self.wk = glorot(rng, dim, self.head_dim, (heads,))
+        self.wv = glorot(rng, dim, self.head_dim, (heads,))
         self.wo = glorot(rng, dim, dim)
 
     def parameters(self, prefix):
-        params = []
-        for i in range(self.heads):
-            params.append((f"{prefix}.head{i}.wq", self.wq[i]))
-            params.append((f"{prefix}.head{i}.wk", self.wk[i]))
-            params.append((f"{prefix}.head{i}.wv", self.wv[i]))
-        params.append((f"{prefix}.wo", self.wo))
-        return params
+        return [(f"{prefix}.wq", self.wq), (f"{prefix}.wk", self.wk),
+                (f"{prefix}.wv", self.wv), (f"{prefix}.wo", self.wo)]
 
 
 def attend(weights, queries, keys):

@@ -55,6 +55,10 @@ class SyntheticSpec:
             raise ConfigError("feature width must be >= 2")
         if not 0.0 < self.occupancy <= 1.0:
             raise ConfigError(f"occupancy must be in (0, 1], got {self.occupancy}")
+        for name in ("noise_std", "archetype_scale"):
+            value = getattr(self, name)
+            if not _finite_number(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.noise_std < 0.0:
             raise ConfigError("noise_std must be >= 0")
         lo, hi = self.stage_threshold - self.stage_spread, self.stage_threshold + self.stage_spread

@@ -5,7 +5,7 @@ bitmap (row-major cells, LSB-first within each byte) and float32 features per
 occupied cell.  Checkpoints ("MGTC"), embedding dumps ("MGTE") and datasets
 ("MGTS") share one framing: magic, u32 format version, u32 header length and
 a JSON header.  Checkpoints and embedding dumps follow it with length-prefixed
-named float64 blobs of rank at most 2; datasets with one tumor mask and one
+named float64 blobs of rank at most 3; datasets with one tumor mask and one
 MGT1 blob per sample (labels and fold ids sit in the header).
 
 Readers parse fully in memory and validate before returning anything, so a
@@ -210,8 +210,8 @@ def _read_container(path, magic):
         if name in blobs:
             raise ParseError(f"duplicate blob name {name!r}", offset=name_at)
         rank_at, ndim = r.pos, r.u8("blob rank")
-        if ndim > 2:  # writers store vectors and matrices only
-            raise ParseError(f"blob {name!r} has rank {ndim}, expected at most 2",
+        if ndim > 3:  # writers store vectors, matrices and weight stacks only
+            raise ParseError(f"blob {name!r} has rank {ndim}, expected at most 3",
                              offset=rank_at)
         shape = tuple(r.u32("blob dimension") for _ in range(ndim))
         size = 1

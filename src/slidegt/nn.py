@@ -12,9 +12,11 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def glorot(rng, fan_in, fan_out):
+def glorot(rng, fan_in, fan_out, stack=()):
+    """A (*stack, fan_in, fan_out) parameter; one draw over the whole block
+    yields the values of successive (fan_in, fan_out) draws."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-bound, bound, (fan_in, fan_out)), requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, (*stack, fan_in, fan_out)), requires_grad=True)
 
 
 def normal_param(rng, shape, std=0.02):

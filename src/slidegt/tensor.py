@@ -17,12 +17,13 @@ run, so the saved arrays are freed while the tape is replayed, and a second
 Ops are as coarse as the bits allow, since most of a small op's cost is
 per-op overhead: ``linear`` is ``x @ w + b`` in one op, and
 ``attention_heads`` is every head of an attention site in one op.  It
-stacks the per-head projections and runs the heads batched through
-``np.matmul``, which repeats per head the 2-D product, operand layouts
-included, of one op per head, so every output and gradient keeps its bits;
-``np.einsum`` over the heads would sum in another order.  Each loss term is
-one op too (``cross_entropy``, ``mincut_terms``), whose backward repeats in
-replay order the arithmetic of the chain of generic ops it stands for.
+takes each role's weights as one (heads, dim, head width) stack and runs the
+heads batched through ``np.matmul``, which repeats per head the 2-D product,
+operand layouts included, of one op per head, so every output and gradient
+keeps its bits; ``np.einsum`` over the heads would sum in another order.
+Each loss term is one op too (``cross_entropy``, ``mincut_terms``), whose
+backward repeats in replay order the arithmetic of the chain of generic ops
+it stands for.
 
 Tensors are dense numpy arrays; a graph's sparse adjacency enters only as the
 fixed operator of ``spmm``.  Every op output is checked for NaN/Inf up front
@@ -451,48 +452,42 @@ def mincut_terms(s, norm_adj, deg_tilde):
 # ----------------------------------------------------------------- attention
 
 
-def attention_heads(queries, keys, wqs, wks, wvs, inv_scale):
+def attention_heads(queries, keys, wq, wk, wv, inv_scale):
     """Every head of one multi-head attention site, as one op.
 
-    Head i mixes the values ``keys @ wvs[i]`` under the row softmax of the
-    scores ``(queries @ wqs[i]) @ (keys @ wks[i]).T``, multiplied by
-    ``inv_scale`` unless it is ``None``; the output holds the heads side by
-    side.  The projections are stacked into (heads, rows, head width) arrays
-    and the heads then run batched through ``np.matmul``, which applies to
-    each head the 2-D product, with the operand layouts, that one op per head
-    applied, so the output and every gradient keep their bits (``np.einsum``
-    over the heads sums in another order and would not).
+    wq, wk and wv are (heads, dim, head width) stacks.  Head i mixes the
+    values ``keys @ wv[i]`` under the row softmax of the scores
+    ``(queries @ wq[i]) @ (keys @ wk[i]).T``, multiplied by ``inv_scale``
+    unless it is ``None``; the output holds the heads side by side.  The
+    heads run batched through ``np.matmul``, which applies to each head the
+    2-D product, with the operand layouts, that one op per head applied, so
+    the output and every gradient keep their bits (``np.einsum`` over the
+    heads sums in another order and would not).
 
-    The parents are, from the last head to the first, ``keys`` (via the
-    values), ``wvs[i]``, ``keys`` (via the keys), ``wks[i]``, ``queries`` and
-    ``wqs[i]``: the tape adds the contributions to ``queries`` and ``keys``
-    one at a time, in the order of a replay of per-head ops.
+    The parents are ``keys`` (via the values), ``keys`` (via the keys) and
+    ``queries`` once per head, from the last head to the first, then ``wv``,
+    ``wk`` and ``wq``: the tape adds the contributions to ``queries`` and
+    ``keys`` one at a time, in the order of a replay of per-head ops, and
+    each stack gets its whole gradient in one piece.
     """
-    heads = len(wqs)
-    if heads < 1 or len(wks) != heads or len(wvs) != heads:
-        raise ContractError(
-            f"attention_heads needs one wq, wk and wv per head, got "
-            f"{len(wqs)}/{len(wks)}/{len(wvs)}")
     if queries.data.ndim != 2 or keys.data.ndim != 2 or queries.shape[1] != keys.shape[1]:
         raise DimensionError(
             f"attention_heads: incompatible shapes {queries.shape} and {keys.shape}")
     (nq, dim), nk = queries.shape, keys.shape[0]
-    hd = wqs[0].shape[1] if wqs[0].data.ndim == 2 else None
-    for w in (*wqs, *wks, *wvs):
-        if w.shape != (dim, hd):
-            raise DimensionError(
-                f"attention_heads: weight shape {w.shape}, expected {(dim, hd)}")
-    wq = [w.data for w in wqs]
-    wk = [w.data for w in wks]
-    wv = [w.data for w in wvs]
-    # one product per head and role, stacked: each head's matrix has the
-    # contiguous layout of a per-head op's output, and BLAS sums some narrow
-    # or one-row products differently by width and layout
-    q = np.array([queries.data @ w for w in wq])        # (H, nq, hd)
+    if (wq.data.ndim != 3 or wq.shape[0] < 1 or wq.shape[1] != dim
+            or wk.shape != wq.shape or wv.shape != wq.shape):
+        raise DimensionError(
+            f"attention_heads: weight stacks {wq.shape}, {wk.shape} and {wv.shape} "
+            f"do not match width {dim}")
+    heads, hd = wq.shape[0], wq.shape[2]
+    # each head's matrix keeps the contiguous layout of a per-head op's
+    # output, the keys' transposed to (H, hd, nk): BLAS sums some narrow or
+    # one-row products differently by layout
+    q = np.matmul(queries.data, wq.data)                # (H, nq, hd)
     _ensure_finite(q, "attention queries")
-    kT = np.array([(keys.data @ w).T for w in wk])      # (H, hd, nk)
+    kT = np.ascontiguousarray(np.matmul(keys.data, wk.data).transpose(0, 2, 1))
     _ensure_finite(kT, "attention keys")
-    v = np.array([keys.data @ w for w in wv])           # (H, nk, hd)
+    v = np.matmul(keys.data, wv.data)                   # (H, nk, hd)
     _ensure_finite(v, "attention values")
     scores = np.matmul(q, kT)                           # (H, nq, nk)
     if inv_scale is not None:
@@ -507,16 +502,14 @@ def attention_heads(queries, keys, wqs, wks, wvs, inv_scale):
     out_data = np.concatenate(np.matmul(p, v), axis=1)  # the heads side by side
 
     need_queries, need_keys = queries.requires_grad, keys.requires_grad
-    need_wq = [w.requires_grad for w in wqs]
-    need_wk = [w.requires_grad for w in wks]
-    need_wv = [w.requires_grad for w in wvs]
-    q_path, k_path = need_queries or any(need_wq), need_keys or any(need_wk)
-    v_path = need_keys or any(need_wv)
+    need_wq, need_wk, need_wv = wq.requires_grad, wk.requires_grad, wv.requires_grad
+    q_path, k_path = need_queries or need_wq, need_keys or need_wk
+    v_path = need_keys or need_wv
     # inputs only for the weights' gradients, weights only for the inputs'
-    queries_data = queries.data if any(need_wq) else None
-    keys_data = keys.data if any(need_wk) or any(need_wv) else None
-    wq = wq if need_queries else None
-    wk, wv = (wk, wv) if need_keys else (None, None)
+    queries_data = queries.data if need_wq else None
+    keys_data = keys.data if need_wk or need_wv else None
+    wq_data = wq.data if need_queries else None
+    wk_data, wv_data = (wk.data, wv.data) if need_keys else (None, None)
 
     def back(g):
         g_heads = g.reshape(nq, heads, hd).transpose(1, 0, 2)        # (H, nq, hd)
@@ -532,24 +525,18 @@ def attention_heads(queries, keys, wqs, wks, wvs, inv_scale):
             if k_path:
                 g_k = np.matmul(q.transpose(0, 2, 1), g_s).transpose(0, 2, 1)
         none = [None] * heads
-        # (H, hd, dim): each head's weight transposed, laid out as its own .T
-        keys_v = np.matmul(g_v, np.array(wv).transpose(0, 2, 1)) if need_keys else none
-        keys_k = np.matmul(g_k, np.array(wk).transpose(0, 2, 1)) if need_keys else none
-        queries_q = np.matmul(g_q, np.array(wq).transpose(0, 2, 1)) if need_queries else none
-        wv_g = np.matmul(keys_data.T, g_v) if any(need_wv) else none
-        wk_g = np.matmul(keys_data.T, g_k) if any(need_wk) else none
-        wq_g = np.matmul(queries_data.T, g_q) if any(need_wq) else none
+        # (H, hd, dim): each head's block transposed, laid out as its own .T
+        keys_v = np.matmul(g_v, wv_data.transpose(0, 2, 1)) if need_keys else none
+        keys_k = np.matmul(g_k, wk_data.transpose(0, 2, 1)) if need_keys else none
+        queries_q = np.matmul(g_q, wq_data.transpose(0, 2, 1)) if need_queries else none
         grads = []
         for i in reversed(range(heads)):
-            grads += [keys_v[i], wv_g[i] if need_wv[i] else None,
-                      keys_k[i], wk_g[i] if need_wk[i] else None,
-                      queries_q[i], wq_g[i] if need_wq[i] else None]
-        return grads
+            grads += [keys_v[i], keys_k[i], queries_q[i]]
+        return grads + [np.matmul(keys_data.T, g_v) if need_wv else None,
+                        np.matmul(keys_data.T, g_k) if need_wk else None,
+                        np.matmul(queries_data.T, g_q) if need_wq else None]
 
-    parents = []
-    for i in reversed(range(heads)):
-        parents += [keys, wvs[i], keys, wks[i], queries, wqs[i]]
-    return _result(out_data, tuple(parents), back)
+    return _result(out_data, (keys, keys, queries) * heads + (wv, wk, wq), back)
 
 
 # ------------------------------------------------------------ normalization

@@ -10,6 +10,7 @@ from slidegt.attention import MultiHeadWeights, attend
 from slidegt.errors import ConfigError, ContractError, DimensionError
 from slidegt.injection import InjectionBlock, TokenBank
 from slidegt.model import BranchConfig, ModelConfig, SlideGraphTransformer
+from slidegt.nn import glorot
 from slidegt.pooling import GraphMultisetPool
 from slidegt.tensor import Tensor, backward, constant
 from test_model import small_graph
@@ -22,9 +23,9 @@ def reference_attention(w, q, k):
     n_q, n_k = q.shape[0], k.shape[0]
     head_outs = []
     for h in range(w.heads):
-        qh = q @ w.wq[h].data
-        kh = k @ w.wk[h].data
-        vh = k @ w.wv[h].data
+        qh = q @ w.wq.data[h]
+        kh = k @ w.wk.data[h]
+        vh = k @ w.wv.data[h]
         out = np.zeros((n_q, w.head_dim))
         for i in range(n_q):
             scores = np.array([qh[i] @ kh[j] for j in range(n_k)])
@@ -70,11 +71,11 @@ def test_identical_keys_give_uniform_mixture():
     w = MultiHeadWeights(np.random.default_rng(3), dim, 1)
     # a zero key projection maps every key row to the same key, so each query
     # scores all rows alike and mixes their values uniformly
-    w.wk[0] = Tensor(np.zeros((dim, dim)), requires_grad=True)
+    w.wk = Tensor(np.zeros((1, dim, dim)), requires_grad=True)
     rows = rng.normal(0, 1, (5, dim))
     q = constant(rng.normal(0, 1, (3, dim)))
     out = attend(w, q, constant(rows)).data
-    expected = np.tile(rows.mean(axis=0) @ w.wv[0].data @ w.wo.data, (3, 1))
+    expected = np.tile(rows.mean(axis=0) @ w.wv.data[0] @ w.wo.data, (3, 1))
     assert_allclose(out, expected, atol=1e-12)
 
 
@@ -127,26 +128,64 @@ def test_config_and_shape_errors():
         attend(w, constant(np.zeros((2, 4))), constant(np.zeros((0, 4))))
 
 
+@pytest.mark.parametrize("heads", range(1, 17))
+def test_stacks_hold_the_successive_per_head_draws(heads):
+    # one draw over a (heads, dim, head width) block yields the values of one
+    # (dim, head width) draw per head, so every initial value keeps its bits
+    for head_dim in (1, 5):
+        dim = heads * head_dim
+        w = MultiHeadWeights(np.random.default_rng(heads), dim, heads)
+        rng = np.random.default_rng(heads)
+        per_head = [np.array([glorot(rng, dim, head_dim).data for _ in range(heads)])
+                    for _ in range(3)] + [glorot(rng, dim, dim).data]
+        params = w.parameters("attn")
+        assert [name for name, _ in params] == ["attn.wq", "attn.wk", "attn.wv", "attn.wo"]
+        assert [p.data.tobytes() for _, p in params] == [a.tobytes() for a in per_head]
+
+
 # ------------------------------------------------ bits of the per-head ops
 
 
-def per_head_attend(w, queries, keys):
+class PerHeadAttend:
     """Attention as one tape op per step of every head, the way it ran before
-    its heads were fused: the bitwise reference for ``attend``.  The heads are
-    stacked as transposed rows, which moves the same values as a side-by-side
+    its heads were fused: the bitwise reference for ``attend``.  Each head
+    runs on its own leaf copy of its block of ``wq``, ``wk`` and ``wv``, made
+    at a site's first call; ``fold_grads`` then writes the copies' gradients,
+    stacked in head order, into the stacks' ``grad``.  The heads are stacked
+    as transposed rows, which moves the same values as a side-by-side
     concatenation."""
-    inv_scale = 1.0 / np.sqrt(w.head_dim)
-    stacked = None
-    for i in range(w.heads):
-        q = T.matmul(queries, w.wq[i])
-        k = T.matmul(keys, w.wk[i])
-        v = T.matmul(keys, w.wv[i])
-        scores = T.matmul(q, T.transpose(k))
-        if w.scale_scores:
-            scores = T.scale(scores, inv_scale)
-        head = T.transpose(T.matmul(T.softmax_rows(scores), v))
-        stacked = head if stacked is None else T.concat_rows(stacked, head)
-    return T.matmul(T.transpose(stacked), w.wo)
+
+    def __init__(self):
+        self.copies = {}  # id(weights) -> (weights, per-head leaves of wq, wk, wv)
+
+    def __call__(self, w, queries, keys):
+        if id(w) not in self.copies:
+            self.copies[id(w)] = (w, [[Tensor(stack.data[i], requires_grad=True)
+                                       for i in range(w.heads)]
+                                      for stack in (w.wq, w.wk, w.wv)])
+        wq, wk, wv = self.copies[id(w)][1]
+        inv_scale = 1.0 / np.sqrt(w.head_dim)
+        stacked = None
+        for i in range(w.heads):
+            q = T.matmul(queries, wq[i])
+            k = T.matmul(keys, wk[i])
+            v = T.matmul(keys, wv[i])
+            scores = T.matmul(q, T.transpose(k))
+            if w.scale_scores:
+                scores = T.scale(scores, inv_scale)
+            head = T.transpose(T.matmul(T.softmax_rows(scores), v))
+            stacked = head if stacked is None else T.concat_rows(stacked, head)
+        return T.matmul(T.transpose(stacked), w.wo)
+
+    def fold_grads(self):
+        for w, roles in self.copies.values():
+            for stack, heads in zip((w.wq, w.wk, w.wv), roles):
+                stack.grad[...] = np.array([head.grad for head in heads])
+
+
+def fold_grads(attend_fn):
+    if isinstance(attend_fn, PerHeadAttend):
+        attend_fn.fold_grads()
 
 
 def run_site(attend_fn, w, q_data, k_data, layout):
@@ -168,6 +207,7 @@ def run_site(attend_fn, w, q_data, k_data, layout):
     out = attend_fn(w, queries, keys)
     c = np.random.default_rng(3).normal(0, 1, out.shape)
     backward(T.sum_all(T.mul(out, constant(c))))
+    fold_grads(attend_fn)
     grads = [q_leaf.grad, k_leaf.grad] + [p.grad for _, p in w.parameters("attn")]
     return [out.data.tobytes()] + [g.tobytes() for g in grads]
 
@@ -179,14 +219,15 @@ def run_site(attend_fn, w, q_data, k_data, layout):
 def test_attend_keeps_the_bits_of_per_head_ops(heads, scaled, layout, rows):
     # width 16 gives head widths 16 down to 1.  BLAS can sum a product of
     # narrow, one-row or one-column operands differently by their width and
-    # layout, so a projection of all heads at once, or a head's matrix laid
-    # out as a view into it, would change bits here
+    # layout, so projecting all heads at once through one (dim, dim) matrix
+    # and taking each head as a column slice of it would change bits here; a
+    # head's contiguous block of a (heads, dim, head width) stack does not
     nq, nk = (rows[0], rows[0]) if layout == "self" else rows
     rng = np.random.default_rng(heads * 10 + nq)
     q_data, k_data = rng.normal(0, 1, (nq, 16)), rng.normal(0, 1, (nk, 16))
     w = MultiHeadWeights(np.random.default_rng(heads), 16, heads, scale_scores=scaled)
     assert (run_site(attend, w, q_data, k_data, layout)
-            == run_site(per_head_attend, w, q_data, k_data, layout))
+            == run_site(PerHeadAttend(), w, q_data, k_data, layout))
 
 
 def test_shared_bank_and_gm_pool_keep_the_bits_of_per_head_ops():
@@ -210,12 +251,13 @@ def test_shared_bank_and_gm_pool_keep_the_bits_of_per_head_ops():
         rows = T.add(blocks[0](h, bank), blocks[1](h, bank))
         out, _ = pool(rows, None, None)
         backward(T.sum_all(T.mul(out, out)))
+        fold_grads(attend_fn)
         return [out.data.tobytes(), h.grad.tobytes()] + [p.grad.tobytes() for p in params]
 
     with pytest.MonkeyPatch.context() as mp:
         fused = run(attend, mp)
     with pytest.MonkeyPatch.context() as mp:
-        assert run(per_head_attend, mp) == fused
+        assert run(PerHeadAttend(), mp) == fused
 
 
 @pytest.mark.parametrize("scheme, pooling_kinds", [
@@ -239,7 +281,8 @@ def test_model_keeps_the_bits_of_per_head_ops(scheme, pooling_kinds):
             loss = T.add(T.sum_all(T.mul(out.logits["typing"], out.logits["typing"])),
                          T.sum_all(out.logits["staging"]))
             backward(loss)
+            fold_grads(attend_fn)
             return ([out.logits[t].data.tobytes() for t in sorted(out.logits)]
                     + [p.grad.tobytes() for _, p in net.parameters()])
 
-    assert run(attend) == run(per_head_attend)
+    assert run(attend) == run(PerHeadAttend())

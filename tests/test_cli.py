@@ -184,6 +184,18 @@ def test_dataset_with_a_malformed_spec_range_exits_one(data_path, tmp_path, caps
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--noise", "nan", "noise_std"), ("--archetype-scale", "inf", "archetype_scale"),
+])
+def test_synth_rejects_a_non_finite_number(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "ds.mgts"
+    rc = main(SYNTH + ["--out", str(out), flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be finite")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 def eval_with_config(checkpoint, data_path, tmp_path, mutate):
     """Run ``slidegt eval`` on a copy of checkpoint whose model dict is mutated."""
     model = fileio.load_checkpoint(checkpoint)

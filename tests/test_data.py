@@ -126,6 +126,11 @@ def test_spec_validation_rejects_infeasible_setups():
                          ("region_radius", (float("-inf"), 2.0))]:
         with pytest.raises(ConfigError, match=f"{field} must be two finite numbers"):
             SyntheticSpec(**{field: value}).validate()
+    for field, value in [("noise_std", float("nan")), ("noise_std", float("inf")),
+                         ("archetype_scale", float("inf")), ("archetype_scale", float("nan")),
+                         ("archetype_scale", "1"), ("noise_std", True)]:
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SyntheticSpec(**{field: value}).validate()
 
 
 def test_spec_round_trips_through_dict():

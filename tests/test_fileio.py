@@ -15,6 +15,7 @@ from slidegt.fileio import (grid_from_bytes, grid_to_bytes, load_checkpoint,
                             save_dataset, save_embeddings)
 from slidegt.graph import FeatureGrid
 from slidegt.model import BranchConfig, ModelConfig, SlideGraphTransformer
+from slidegt.pooling import POOL_KINDS
 from test_model import small_config, small_graph
 
 
@@ -107,8 +108,8 @@ def test_non_finite_features_are_rejected():
 # -------------------------------------------------------------- checkpoints
 
 
-def trained_like_model(seed=0):
-    model = SlideGraphTransformer(small_config(head_init="random"), seed=seed)
+def trained_like_model(seed=0, **config):
+    model = SlideGraphTransformer(small_config(head_init="random", **config), seed=seed)
     rng = np.random.default_rng(99)
     for _, p in model.parameters():
         p.data += rng.normal(0, 0.05, p.data.shape)
@@ -126,8 +127,14 @@ def test_checkpoint_restores_parameters_bitwise(tmp_path):
         assert (pa.data == pb.data).all()
 
 
-def test_reloaded_model_reproduces_logits_bitwise(tmp_path):
-    model = trained_like_model(seed=4)
+@pytest.mark.parametrize("scheme", ["specific", "shared"])
+@pytest.mark.parametrize("kind", POOL_KINDS)
+def test_reloaded_model_reproduces_logits_bitwise(tmp_path, kind, scheme):
+    # every pool's own parameters (gm's seeds and attention stacks, the
+    # topk/sag scorer, the cluster weights) survive the round trip
+    model = trained_like_model(seed=4, token_scheme=scheme, branches=(
+        BranchConfig(task="typing", pooling=kind, tokens=3, pool_size=3),
+        BranchConfig(task="staging", pooling="gcmincut", tokens=3, pool_size=2)))
     g = small_graph(8)
     path = tmp_path / "m.mgtc"
     save_checkpoint(model, path)
@@ -221,14 +228,44 @@ def test_checkpoint_with_bad_config_values_is_rejected(tmp_path, mutate):
         load_checkpoint(path)
 
 
-def test_blob_rank_above_two_is_rejected(tmp_path):
+def test_rank_three_blobs_round_trip(tmp_path):
+    path = tmp_path / "stack.mgtc"
+    stack = np.random.default_rng(7).normal(0, 1, (2, 3, 4))
+    fileio._write_container(path, fileio.CHECKPOINT_MAGIC, {"kind": "x"},
+                            [("s", stack), ("v", stack[0, 0])])
+    header, blobs = fileio._read_container(path, fileio.CHECKPOINT_MAGIC)
+    assert header == {"kind": "x"}
+    assert blobs["s"].shape == (2, 3, 4) and blobs["s"].tobytes() == stack.tobytes()
+    assert blobs["v"].tobytes() == stack[0, 0].tobytes()
+
+
+def test_blob_rank_above_three_is_rejected(tmp_path):
     path = tmp_path / "rank.mgtc"
-    body = struct.pack("<IH", 1, 1) + b"w" + struct.pack("<B65I", 65, *[1] * 65)
+    body = struct.pack("<IH", 1, 1) + b"w" + struct.pack("<B4I", 4, *[1] * 4)
     fileio._write_framed(path, fileio.CHECKPOINT_MAGIC, {"kind": "checkpoint"},
                          body + struct.pack("<d", 0.0))
-    with pytest.raises(ParseError, match="rank 65") as exc:
+    with pytest.raises(ParseError, match="rank 4, expected at most 3") as exc:
         load_checkpoint(path)
-    assert exc.value.offset == path.stat().st_size - 8 - 65 * 4 - 1
+    assert exc.value.offset == path.stat().st_size - 8 - 4 * 4 - 1
+
+
+def test_per_head_checkpoint_layout_is_rejected(tmp_path):
+    # the layout of checkpoints written before the weight stacks: one
+    # (dim, head width) blob per head and role
+    model = trained_like_model()
+    blobs = []
+    for name, p in model.parameters():
+        prefix, role = name.rsplit(".", 1)
+        if role in ("wq", "wk", "wv") and p.data.ndim == 3:
+            blobs += [(f"{prefix}.head{i}.{role}", block) for i, block in enumerate(p.data)]
+        else:
+            blobs.append((name, p.data))
+    header = {"kind": "checkpoint", "model": model.config.to_dict()}
+    path = tmp_path / "per_head.mgtc"
+    fileio._write_container(path, fileio.CHECKPOINT_MAGIC, header, blobs)
+    with pytest.raises(CheckpointError, match=r"missing \[[^]]*'typing\.inject\.attn\.wq'"
+                                              r".*extra \[[^]]*'typing\.inject\.attn\.head0\.wq'"):
+        load_checkpoint(path)
 
 
 @pytest.fixture(scope="module")
@@ -501,10 +538,14 @@ def _mutate_spec(key, value):
      r"bad dataset header: region_count must be two finite numbers, got \(1.3,\)"),
     (_mutate_spec("region_radius", [1.0, 2.0, 3.0]), "region_radius must be two finite"),
     (_mutate_spec("region_count", [1, "3"]), "region_count must be two finite"),
+    (_mutate_spec("noise_std", float("nan")), "bad dataset header: noise_std must be finite"),
+    (_mutate_spec("archetype_scale", float("inf")),
+     "bad dataset header: archetype_scale must be finite"),
 ], ids=["missing-stage", "type-7", "stage-negative", "type-string", "fold-float",
         "stage-bool", "fold-negative", "fold-too-large", "negative-id", "duplicate-id",
         "spec-folds-string", "spec-folds-zero", "spec-region-count-single",
-        "spec-region-radius-triple", "spec-region-count-string"])
+        "spec-region-radius-triple", "spec-region-count-string", "spec-noise-nan",
+        "spec-archetype-scale-inf"])
 def test_dataset_header_sample_entries_are_validated(tmp_path, tiny_ds, mutate,
                                                      message):
     path = tmp_path / "d.mgts"

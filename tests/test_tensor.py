@@ -203,35 +203,37 @@ def test_linear_keeps_the_bits_of_matmul_then_bias():
 def test_gradients_match_fd_attention_heads(heads, inv_scale):
     rng = np.random.default_rng(22 + heads)
     queries, keys = rand(rng, 3, 4), rand(rng, 5, 4)
-    wqs, wks, wvs = ([rand(rng, 4, 2) for _ in range(heads)] for _ in range(3))
-    params = [queries, keys, *wqs, *wks, *wvs]
+    wq, wk, wv = (rand(rng, heads, 4, 2) for _ in range(3))
+    params = [queries, keys, wq, wk, wv]
     c = constant(rng.normal(0, 1, (3, 2 * heads)))
     assert_grads_match_fd(
-        lambda: T.sum_all(T.mul(T.attention_heads(queries, keys, wqs, wks, wvs,
+        lambda: T.sum_all(T.mul(T.attention_heads(queries, keys, wq, wk, wv,
                                                   inv_scale), c)), params)
     # the queries are the keys: both paths reach one tensor
     c = constant(rng.normal(0, 1, (3, 2 * heads)))
     assert_grads_match_fd(
-        lambda: T.sum_all(T.mul(T.attention_heads(queries, queries, wqs, wks, wvs,
+        lambda: T.sum_all(T.mul(T.attention_heads(queries, queries, wq, wk, wv,
                                                   inv_scale), c)), [queries])
 
 
 def test_attention_heads_rejects_mismatched_inputs():
     rng = np.random.default_rng(23)
     q, k = rand(rng, 3, 4), rand(rng, 5, 4)
-    w = [rand(rng, 4, 2)]
-    with pytest.raises(ContractError, match="one wq, wk and wv per head"):
-        T.attention_heads(q, k, w, w, [], None)
+    w = rand(rng, 1, 4, 2)
     with pytest.raises(DimensionError, match=r"\(3, 4\).*\(5, 3\)"):
         T.attention_heads(q, rand(rng, 5, 3), w, w, w, None)
-    with pytest.raises(DimensionError, match=r"weight shape \(4, 3\)"):
-        T.attention_heads(q, k, w, [rand(rng, 4, 3)], w, None)
+    for bad in (rand(rng, 2, 4, 2), rand(rng, 1, 4, 3), rand(rng, 1, 3, 2)):
+        with pytest.raises(DimensionError, match=r"weight stacks \(1, 4, 2\), "):
+            T.attention_heads(q, k, w, bad, w, None)
+    for bad in (rand(rng, 4, 2), rand(rng, 0, 4, 2)):
+        with pytest.raises(DimensionError, match="weight stacks"):
+            T.attention_heads(q, k, bad, bad, bad, None)
 
 
 def test_attention_heads_names_the_non_finite_stage():
     q, k = Tensor(np.full((2, 2), 1e200)), Tensor(np.full((3, 2), 1e200))
-    w = [Tensor(np.full((2, 1), 1e200))]
-    small = [Tensor(np.ones((2, 1)))]
+    w = Tensor(np.full((1, 2, 1), 1e200))
+    small = Tensor(np.ones((1, 2, 1)))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError, match="attention queries"):
             T.attention_heads(q, k, w, small, small, None)
@@ -368,12 +370,10 @@ OP_CASES = [
     ("take_rows-20", lambda x: T.take_rows(x, np.array([2, 0])), [(3, 4)]),
     ("concat_rows-21", T.concat_rows, [(3, 4), (2, 4)]),
     ("linear-23", T.linear, [(3, 4), (4, 2), (2,)]),
-    ("attention_heads-24",
-     lambda q, k, *w: T.attention_heads(q, k, w[0:2], w[2:4], w[4:6], 0.5),
-     [(3, 4), (5, 4)] + [(4, 2)] * 6),
-    ("attention_heads-25",
-     lambda q, k, wq, wk, wv: T.attention_heads(q, k, [wq], [wk], [wv], None),
-     [(1, 4), (2, 4), (4, 3), (4, 3), (4, 3)]),
+    ("attention_heads-24", lambda *a: T.attention_heads(*a, 0.5),
+     [(3, 4), (5, 4)] + [(2, 4, 2)] * 3),
+    ("attention_heads-25", lambda *a: T.attention_heads(*a, None),
+     [(1, 4), (2, 4)] + [(1, 4, 3)] * 3),
     ("cross_entropy-26", lambda x: T.cross_entropy(x, np.array([2, 0, 3])), [(3, 4)]),
     ("mincut_terms-27", lambda s: T.mincut_terms(s, np.eye(3), np.ones(3))[0], [(3, 4)]),
 ]
