@@ -17,6 +17,13 @@ perfbench workload (cv-desk, cv-wsi64, eval-ckpt32, configs read from
 - ``embeddings.mgte``: ``slidegt export-embeddings`` of that checkpoint for
   every sample.
 
+On the same seeds it also runs the pooling ablation of the golden guard
+(``tests/test_golden.py``): ``train.run_ablation`` along ``pooling`` with the
+criterion-5 model and ``assign_softmax=False``, 1 epoch, 12 slides at 16x16,
+2 folds.  That covers every pool kind and the relu-normalized assignment,
+which the gated workloads do not run, and writes ``ablation.jsonl`` plus each
+variant's metrics, summary and checkpoints under ``ablate_pooling_seed<S>``.
+
 ``manifest.json`` is left out, because it records the package version.  The
 script prints one line per file and exits 1 if any file differs or exists in
 only one tree.
@@ -36,12 +43,15 @@ SEEDS = (1000, 3)
 
 def produce(out_dir):
     """Write every compared file under out_dir with the slidegt on sys.path."""
+    from dataclasses import replace
+
     import slidegt
-    from perfbench.workloads import EVAL_FOLD, WORKLOADS, train_config
+    from perfbench.workloads import DESK_MODEL, DESK_TRAIN, EVAL_FOLD, WORKLOADS, train_config
     from slidegt.cli import main as cli
     from slidegt.data import SyntheticSpec, generate
     from slidegt.fileio import load_dataset, save_dataset
-    from slidegt.train import run_training
+    from slidegt.model import ModelConfig
+    from slidegt.train import TrainConfig, run_ablation, run_training
 
     print(f"slidegt from {Path(slidegt.__file__).parent}", file=sys.stderr)
     for name in GATED:
@@ -63,6 +73,14 @@ def produce(out_dir):
             for argv in steps:
                 if cli(argv) != 0:
                     raise SystemExit(f"slidegt {argv[0]} failed on {out}")
+    ablate = TrainConfig(model=replace(ModelConfig.from_dict(DESK_MODEL), assign_softmax=False),
+                         folds=2, **dict(DESK_TRAIN, epochs=1))
+    for seed in SEEDS:
+        out = Path(out_dir) / f"ablate_pooling_seed{seed}"
+        spec = SyntheticSpec(samples=12, rows=16, cols=16, dim=32, seed=seed, folds=2)
+        run_ablation(ablate, generate(spec), "pooling", out)
+        for manifest in out.rglob("manifest.json"):
+            manifest.unlink()
 
 
 def run_tree(src, out_dir):

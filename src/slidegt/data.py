@@ -11,19 +11,20 @@ bit-exact in both directions.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_types
 from .graph import FeatureGrid
 
 
 def _finite_number(value):
+    """A non-bool real within float range (NaN fails, as does a huge int)."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 _OFFSETS8 = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
@@ -47,6 +48,12 @@ class SyntheticSpec:
     folds: int = 5
 
     def validate(self):
+        check_types(self, int, ("samples", "rows", "cols", "dim", "seed", "folds"), "dataset spec")
+        for name in ("occupancy", "noise_std", "stage_threshold", "stage_spread",
+                     "archetype_scale"):
+            value = getattr(self, name)
+            if not _finite_number(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.samples < 1:
             raise ConfigError("need at least one sample")
         if self.rows < 2 or self.cols < 2:
@@ -55,21 +62,18 @@ class SyntheticSpec:
             raise ConfigError("feature width must be >= 2")
         if not 0.0 < self.occupancy <= 1.0:
             raise ConfigError(f"occupancy must be in (0, 1], got {self.occupancy}")
-        for name in ("noise_std", "archetype_scale"):
-            value = getattr(self, name)
-            if not _finite_number(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.noise_std < 0.0:
             raise ConfigError("noise_std must be >= 0")
         lo, hi = self.stage_threshold - self.stage_spread, self.stage_threshold + self.stage_spread
-        if not (0.0 < lo and hi < 1.0):
+        if not 0.0 < lo <= hi < 1.0:  # a negative spread gives lo > hi
             raise ConfigError(
-                f"stage ratio window [{lo:.3f}, {hi:.3f}] must stay inside (0, 1)")
-        for name in ("region_count", "region_radius"):
+                f"stage ratio window [{lo:.3f}, {hi:.3f}] must be a range inside (0, 1)")
+        for name, what, valid in (("region_count", "integers", lambda v: type(v) is int),
+                                  ("region_radius", "finite numbers", _finite_number)):
             pair = getattr(self, name)
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                    and all(_finite_number(v) for v in pair)):
-                raise ConfigError(f"{name} must be two finite numbers, got {pair!r}")
+                    and all(valid(v) for v in pair)):
+                raise ConfigError(f"{name} must be two {what}, got {pair!r}")
         c_lo, c_hi = self.region_count
         if c_lo < 1 or c_hi < c_lo:
             raise ConfigError(f"bad region count range {self.region_count}")

@@ -1,4 +1,4 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the config field type check.
 
 Everything derives from ValueError/RuntimeError so callers that do not care
 about the distinction can catch the built-in bases.
@@ -37,3 +37,12 @@ class CheckpointError(ValueError):
 
 class TrainingDiverged(RuntimeError):
     """Training hit a non-finite loss or gradient and was aborted."""
+
+
+def check_types(config, kind, names, owner):
+    """Reject fields not exactly of type kind (a JSON 4.0 or 0 included)."""
+    what = {int: "an integer", bool: "a bool"}[kind]
+    for name in names:
+        value = getattr(config, name)
+        if type(value) is not kind:
+            raise ConfigError(f"{owner} field {name!r} must be {what}, got {value!r}")

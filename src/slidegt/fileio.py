@@ -228,12 +228,12 @@ def _read_container(path, magic):
 
 def save_checkpoint(model, path):
     header = {"kind": "checkpoint", "model": model.config.to_dict()}
-    blobs = [(name, param.data) for name, param in model.parameters()]
+    blobs = [(name, tensor.data) for name, tensor in model.state()]
     _write_container(path, CHECKPOINT_MAGIC, header, blobs)
 
 
 def load_checkpoint(path):
-    """Rebuild a model from a checkpoint; parameter set must match exactly."""
+    """Rebuild a model from a checkpoint; its blobs must name exactly ``state()``."""
     from .model import ModelConfig, SlideGraphTransformer
 
     header, blobs = _read_container(path, CHECKPOINT_MAGIC)
@@ -243,22 +243,22 @@ def load_checkpoint(path):
         model = SlideGraphTransformer(ModelConfig.from_dict(header["model"]), seed=0)
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"bad model config in checkpoint: {exc}") from None
-    params = model.parameters()
-    expected = {name for name, _ in params}
+    state = model.state()
+    expected = {name for name, _ in state}
     found = set(blobs)
     if expected != found:
         missing = sorted(expected - found)
         extra = sorted(found - expected)
         raise CheckpointError(
             f"parameter names do not match config: missing {missing}, extra {extra}")
-    for name, param in params:
+    for name, tensor in state:
         blob = blobs[name]
-        if blob.shape != param.data.shape:
+        if blob.shape != tensor.data.shape:
             raise CheckpointError(
-                f"parameter {name!r} has shape {blob.shape}, expected {param.data.shape}")
+                f"parameter {name!r} has shape {blob.shape}, expected {tensor.data.shape}")
         if not np.isfinite(blob).all():
             raise CheckpointError(f"parameter {name!r} holds non-finite values")
-        param.data[...] = blob
+        tensor.data[...] = blob
     return model
 
 
@@ -351,6 +351,9 @@ def load_dataset(path):
         except ParseError as exc:
             raise ParseError(f"sample {i}: {exc}", offset=grid_at) from None
         n, dim = grid.features.shape
+        if (grid.rows, grid.cols) != (spec.rows, spec.cols):
+            raise ParseError(f"sample {i}: grid is {grid.rows}x{grid.cols}, spec says "
+                             f"{spec.rows}x{spec.cols}", offset=grid_at)
         if dim != spec.dim:
             raise ParseError(f"sample {i}: feature width {dim}, spec says {spec.dim}",
                              offset=grid_at)

@@ -20,20 +20,11 @@ import numpy as np
 
 from . import tensor as T
 from .attention import MultiHeadWeights, attend
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_types
 from .gcn import GcnStack
 from .injection import InjectionBlock, TokenBank
 from .nn import FeedForward, LayerNorm, Linear, normal_param
 from .pooling import POOL_KINDS, make_pool
-
-
-def _check_types(config, kind, names, owner):
-    """Reject fields not exactly of type kind (a JSON 4.0 or 0 included)."""
-    what = {int: "an integer", bool: "a bool"}[kind]
-    for name in names:
-        value = getattr(config, name)
-        if type(value) is not kind:
-            raise ConfigError(f"{owner} field {name!r} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +38,7 @@ class BranchConfig:
     pool_size: int = 100
 
     def validate(self):
-        _check_types(self, int, ("classes", "tokens", "pool_size"), f"task {self.task!r}")
+        check_types(self, int, ("classes", "tokens", "pool_size"), f"task {self.task!r}")
         if self.classes < 2:
             raise ConfigError(f"task {self.task!r} needs >= 2 classes")
         if self.pooling not in POOL_KINDS:
@@ -77,9 +68,9 @@ class ModelConfig:
     branches: tuple = field(default_factory=default_branches)
 
     def validate(self):
-        _check_types(self, int, ("input_dim", "dim", "gcn_layers", "heads",
-                                 "transformer_depth"), "model")
-        _check_types(self, bool, ("scale_attention", "assign_softmax"), "model")
+        check_types(self, int, ("input_dim", "dim", "gcn_layers", "heads",
+                                "transformer_depth"), "model")
+        check_types(self, bool, ("scale_attention", "assign_softmax"), "model")
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.dim < 2:
@@ -205,9 +196,9 @@ class SlideGraphTransformer:
         for branch_cfg in config.branches:
             bank = self.shared_bank or TokenBank(rng, branch_cfg.tokens, config.dim)
             self.branches[branch_cfg.task] = Branch(rng, config, branch_cfg, bank)
-        self._params = self._collect_parameters()
+        self._state = self._collect_state()
 
-    def _collect_parameters(self):
+    def _collect_state(self):
         params = []
         if self.input_proj is not None:
             params += self.input_proj.parameters("proj")
@@ -221,11 +212,16 @@ class SlideGraphTransformer:
             raise ContractError("duplicate parameter names in model")
         return params
 
+    def state(self):
+        """Every named tensor a checkpoint holds, trained or not, in order."""
+        return list(self._state)
+
     def parameters(self):
-        return list(self._params)
+        """The tensors of ``state()`` that train (``requires_grad``), in order."""
+        return [(name, t) for name, t in self._state if t.requires_grad]
 
     def zero_grad(self):
-        for _, p in self._params:
+        for _, p in self.parameters():
             p.grad[...] = 0.0
 
     def trunk(self, graph):

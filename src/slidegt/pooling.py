@@ -6,8 +6,8 @@ staging by adjacency-aware soft clustering (gcmincut); the other kinds are
 minimal forms of published alternatives for the ablations.  Eight kinds rest
 on three ideas, one class each:
 
-- ``SelectPool`` keeps node rows (drop, sort, topk, sag) and publishes their
-  indices under ``aux["kept"]``;
+- ``SelectPool`` keeps node rows (drop, sort, topk, sag; the topk/sag scorer
+  is saved state, not trained) and publishes their indices as ``aux["kept"]``;
 - ``ClusterPool`` pools as Sᵀh through a soft assignment S (gcmincut, diff,
   mincut); only gcmincut publishes S, as ``aux["assignment"]``, and the
   clustering regularizer is applied exactly where that key is present;
@@ -40,8 +40,8 @@ class SelectPool:
     drop keeps a uniform random subset in original row order.  The others
     keep the highest-scoring rows in descending score order: sort scores by
     the last feature channel, topk by a linear score h·w, and sag by its
-    adjacency-smoothed form Â(h·w).  The scorer ``w`` gets no gradient,
-    because hard selection is not differentiable in the scores.
+    adjacency-smoothed form Â(h·w).  Hard selection is not differentiable in
+    the scores, so the scorer ``w`` is saved state that never trains.
     """
 
     def __init__(self, kind, keep, rng=None, dim=None):
@@ -50,7 +50,7 @@ class SelectPool:
         self.kind = kind
         self.keep = keep
         self.draws = kind == "drop"
-        self.w = glorot(rng, dim, 1) if kind in ("topk", "sag") else None
+        self.w = T.Tensor(glorot(rng, dim, 1).data) if kind in ("topk", "sag") else None
 
     def _scores(self, h, norm_adj):
         if self.kind == "sort":
@@ -80,8 +80,8 @@ class ClusterPool:
     Scores are h·w, propagated as Â(h·w) except for mincut; gcmincut also
     applies relu.  S is the row softmax of the scores (an all-zero relu row
     softmaxes to uniform).  For gcmincut only, ``assign_softmax=False``
-    normalizes the relu scores by their row sums instead, with all-zero rows
-    mapped to the uniform distribution explicitly.
+    divides the relu scores by their row sums instead (``T.normalize_rows``,
+    which maps an all-zero row to the uniform distribution).
     """
 
     draws = False
@@ -90,7 +90,6 @@ class ClusterPool:
         if clusters < 1:
             raise ConfigError(f"cluster count must be >= 1, got {clusters}")
         self.kind = kind
-        self.clusters = clusters
         self.relu_normalize = kind == "gcmincut" and not assign_softmax
         self.w = glorot(rng, dim, clusters)
 
@@ -100,17 +99,7 @@ class ClusterPool:
             scores = T.spmm(norm_adj, scores)
         if self.kind == "gcmincut":
             scores = T.relu(scores)
-        if not self.relu_normalize:
-            return T.softmax_rows(scores)
-        # plain row normalization; zero rows get a constant row -> uniform
-        zero_rows = scores.data.sum(axis=1) == 0.0
-        if zero_rows.any():
-            fix = np.zeros_like(scores.data)
-            fix[zero_rows] = 1.0
-            scores = T.add(scores, T.constant(fix))
-        row_sums = T.matmul(scores, T.constant(np.ones((self.clusters, 1))))
-        inv = T.div(T.constant(np.ones((h.shape[0], 1))), row_sums)
-        return T.mul(scores, inv)
+        return T.normalize_rows(scores) if self.relu_normalize else T.softmax_rows(scores)
 
     def __call__(self, h, norm_adj, rng):
         s = self.assignment(h, norm_adj)

@@ -21,9 +21,9 @@ takes each role's weights as one (heads, dim, head width) stack and runs the
 heads batched through ``np.matmul``, which repeats per head the 2-D product,
 operand layouts included, of one op per head, so every output and gradient
 keeps its bits; ``np.einsum`` over the heads would sum in another order.
-Each loss term is one op too (``cross_entropy``, ``mincut_terms``), whose
-backward repeats in replay order the arithmetic of the chain of generic ops
-it stands for.
+Each loss term is one op too (``cross_entropy``, ``mincut_terms``), as is
+``normalize_rows``; each backward repeats in replay order the arithmetic of
+the chain of generic ops it stands for.
 
 Tensors are dense numpy arrays; a graph's sparse adjacency enters only as the
 fixed operator of ``spmm``.  Every op output is checked for NaN/Inf up front
@@ -224,39 +224,17 @@ def add(a, b):
 
 
 def mul(a, b):
-    """Elementwise a * b.  b has a's shape, or a is 2-D and b is a column
-    of shape ``(a.shape[0], 1)``, broadcast along each row."""
+    """Elementwise a * b.  b has a's shape."""
+    if a.shape != b.shape:
+        raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     a_data = a.data if b.requires_grad else None  # read only for b's gradient
     b_data = b.data if a.requires_grad else None
-    if a.shape == b.shape:
-        def reduce_b(gb):
-            return gb
-    elif a.data.ndim == 2 and b.shape == (a.shape[0], 1):
-        def reduce_b(gb):
-            return gb.sum(axis=1, keepdims=True)
-    else:
-        raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}")
 
     def back(g):
         return (None if b_data is None else g * b_data,
-                None if a_data is None else reduce_b(g * a_data))
+                None if a_data is None else g * a_data)
 
     return _result(a.data * b.data, (a, b), back)
-
-
-def div(a, b):
-    """Elementwise a / b.  b has a's shape."""
-    if a.shape != b.shape:
-        raise DimensionError(f"div: incompatible shapes {a.shape} and {b.shape}")
-    need_a = a.requires_grad
-    a_data = a.data if b.requires_grad else None  # read only for b's gradient
-    b_data = b.data
-
-    def back(g):
-        return (g / b_data if need_a else None,
-                None if a_data is None else -g * a_data / (b_data * b_data))
-
-    return _result(a.data / b.data, (a, b), back)
 
 
 def scale(a, c):
@@ -350,7 +328,7 @@ def sum_all(a):
     return _result(np.asarray(a.data.sum()), (a,), back)
 
 
-# ------------------------------------------------------------ row softmaxes
+# ------------------------------------------------------- row normalization
 
 
 def softmax_rows(a):
@@ -368,6 +346,26 @@ def softmax_rows(a):
         return ((g - dot) * out_data,)
 
     return _result(out_data, (a,), back)
+
+
+def normalize_rows(a):
+    """Each row of a 2-D tensor of non-negative values divided by its sum,
+    with an all-zero row taken as ones (so uniform).  The forward and the
+    backward's two terms repeat, in replay order, the chain of generic ops it
+    stands for: add ones to the zero rows, matmul by ones, divide, multiply."""
+    if a.data.ndim != 2:
+        raise DimensionError(f"normalize_rows needs a 2-D tensor, got shape {a.shape}")
+    x = a.data.copy()
+    x[~x.any(axis=1)] = 1.0
+    ones = np.ones((x.shape[1], 1))
+    row_sums = x @ ones
+    inv = np.ones_like(row_sums) / row_sums
+
+    def back(g):
+        g_sums = -(g * x).sum(axis=1, keepdims=True) / (row_sums * row_sums)
+        return (g * inv + g_sums @ ones.T,)
+
+    return _result(x * inv, (a,), back)
 
 
 # -------------------------------------------------------------------- losses

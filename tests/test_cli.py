@@ -14,7 +14,7 @@ from slidegt.model import ModelConfig
 from slidegt.tensor import constant, no_grad
 from slidegt.train import TrainConfig, evaluate
 from test_fileio import (_mutate_spec, cut_dataset, empty_dataset, narrowed_dataset,
-                         rewrite_dataset_header, write_non_object_header)
+                         rewrite_dataset_header, taller_dataset, write_non_object_header)
 
 SYNTH = ["synth", "--samples", "8", "--rows", "10", "--cols", "10",
          "--dim", "4", "--seed", "3", "--radius", "1.0", "2.5",
@@ -180,7 +180,19 @@ def test_dataset_with_a_malformed_spec_range_exits_one(data_path, tmp_path, caps
     rc = main(["train", "--data", str(path)] + TRAIN_FLAGS)
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: bad dataset header: region_count must be two finite")
+    assert err.startswith("error: bad dataset header: region_count must be two integers")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_dataset_with_a_whole_number_float_fold_count_exits_one(data_path, tmp_path, capsys):
+    path = tmp_path / "float_folds.mgts"
+    path.write_bytes(data_path.read_bytes())
+    rewrite_dataset_header(path, _mutate_spec("folds", 2.0))
+    rc = main(["train", "--data", str(path)] + TRAIN_FLAGS)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad dataset header: dataset spec field 'folds' "
+                          "must be an integer, got 2.0 (byte offset 12)")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -352,11 +364,12 @@ def test_eval_of_a_cell_reproduces_its_training_record(data_path, checkpoint, tm
 @pytest.fixture(scope="module")
 def bad_datasets(data_path, tmp_path_factory):
     """Files that load_dataset rejects: no samples, sample 2 one column narrow,
-    and 3 of the spec's 8 samples."""
+    sample 1 one grid row taller, and 3 of the spec's 8 samples."""
     ds = load_dataset(data_path)
     root = tmp_path_factory.mktemp("bad_data")
     fileio.save_dataset(empty_dataset(ds), root / "empty.mgts")
     fileio.save_dataset(narrowed_dataset(ds, 2), root / "narrow.mgts")
+    fileio.save_dataset(taller_dataset(ds, 1), root / "tall.mgts")
     fileio.save_dataset(cut_dataset(ds, 3), root / "cut.mgts")
     return root
 
@@ -364,6 +377,7 @@ def bad_datasets(data_path, tmp_path_factory):
 @pytest.mark.parametrize("name, message", [
     ("empty", "dataset has no samples"),
     ("narrow", "sample 2: feature width 3, spec says 4"),
+    ("tall", "sample 1: grid is 11x10, spec says 10x10"),
     ("cut", "sample count 3, spec says 8"),
 ])
 @pytest.mark.parametrize("command", ["train", "eval", "export-embeddings"])

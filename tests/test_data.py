@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,8 @@ def test_spec_validation_rejects_infeasible_setups():
         SyntheticSpec(rows=6, cols=6, region_radius=(1.5, 4.5)).validate()
     with pytest.raises(ConfigError, match="window"):
         SyntheticSpec(stage_threshold=0.1, stage_spread=0.2).validate()
+    with pytest.raises(ConfigError, match=r"window \[0.350, 0.150\] must be a range"):
+        SyntheticSpec(stage_spread=-0.1).validate()
     with pytest.raises(ConfigError, match="folds"):
         SyntheticSpec(samples=3, folds=5, region_radius=(1.0, 2.0),
                       rows=8, cols=8).validate()
@@ -121,15 +124,24 @@ def test_spec_validation_rejects_infeasible_setups():
         SyntheticSpec(region_count=(2, 1)).validate()
     for field, value in [("region_count", (1.3,)), ("region_count", (1, 2, 3)),
                          ("region_count", 2), ("region_count", (1, "3")),
-                         ("region_count", (True, 3)), ("region_radius", ()),
-                         ("region_radius", (1.0, float("nan"))),
-                         ("region_radius", (float("-inf"), 2.0))]:
+                         ("region_count", (True, 3)), ("region_count", (1, 3.0))]:
+        with pytest.raises(ConfigError, match=f"{field} must be two integers"):
+            SyntheticSpec(**{field: value}).validate()
+    for field, value in [("region_radius", ()), ("region_radius", (1.0, float("nan"))),
+                         ("region_radius", (float("-inf"), 2.0)),
+                         ("region_radius", (1.0, 10**400))]:
         with pytest.raises(ConfigError, match=f"{field} must be two finite numbers"):
             SyntheticSpec(**{field: value}).validate()
     for field, value in [("noise_std", float("nan")), ("noise_std", float("inf")),
                          ("archetype_scale", float("inf")), ("archetype_scale", float("nan")),
-                         ("archetype_scale", "1"), ("noise_std", True)]:
+                         ("archetype_scale", "1"), ("noise_std", True),
+                         ("occupancy", True), ("occupancy", None),
+                         ("stage_threshold", 10**400), ("stage_spread", [0.1])]:
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            SyntheticSpec(**{field: value}).validate()
+    for field, value in itertools.product(("samples", "rows", "cols", "dim", "seed", "folds"),
+                                          (6.0, 8.5, True, "x", None)):
+        with pytest.raises(ConfigError, match=f"dataset spec field '{field}' must be an integer"):
             SyntheticSpec(**{field: value}).validate()
 
 

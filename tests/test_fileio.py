@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 from dataclasses import replace
@@ -111,8 +112,8 @@ def test_non_finite_features_are_rejected():
 def trained_like_model(seed=0, **config):
     model = SlideGraphTransformer(small_config(head_init="random", **config), seed=seed)
     rng = np.random.default_rng(99)
-    for _, p in model.parameters():
-        p.data += rng.normal(0, 0.05, p.data.shape)
+    for _, t in model.state():
+        t.data += rng.normal(0, 0.05, t.data.shape)
     return model
 
 
@@ -122,7 +123,7 @@ def test_checkpoint_restores_parameters_bitwise(tmp_path):
     save_checkpoint(model, path)
     back = load_checkpoint(path)
     assert back.config == model.config
-    for (na, pa), (nb, pb) in zip(model.parameters(), back.parameters()):
+    for (na, pa), (nb, pb) in zip(model.state(), back.state()):
         assert na == nb
         assert (pa.data == pb.data).all()
 
@@ -495,6 +496,26 @@ def test_sample_of_another_feature_width_is_rejected_at_its_grid(tmp_path, tiny_
     assert exc.value.offset == grids[2]
 
 
+def taller_dataset(ds, i):
+    """ds whose sample i has one more grid row, left unoccupied."""
+    samples = list(ds.samples)
+    grid = samples[i].grid
+    occupancy = np.vstack([grid.occupancy, np.zeros((1, grid.cols), dtype=bool)])
+    samples[i] = replace(samples[i], grid=replace(grid, rows=grid.rows + 1,
+                                                  occupancy=occupancy))
+    return replace(ds, samples=samples)
+
+
+def test_sample_of_another_grid_shape_is_rejected_at_its_grid(tmp_path, tiny_ds):
+    path = tmp_path / "d.mgts"
+    save_dataset(taller_dataset(tiny_ds, 1), path)
+    with pytest.raises(ParseError, match="^sample 1: grid is 9x8, spec says 8x8") as exc:
+        load_dataset(path)
+    raw = path.read_bytes()
+    grids = [i for i in range(len(raw)) if raw.startswith(b"MGT1", i)]
+    assert exc.value.offset == grids[1]
+
+
 def rewrite_dataset_header(path, mutate):
     """Apply mutate to the JSON header of the dataset file at path, in place."""
     buf = path.read_bytes()
@@ -535,17 +556,24 @@ def _mutate_spec(key, value):
     (_mutate_spec("folds", "x"), "bad dataset header"),
     (_mutate_spec("folds", 0), "bad dataset header: folds must be in"),
     (_mutate_spec("region_count", [1.3]),
-     r"bad dataset header: region_count must be two finite numbers, got \(1.3,\)"),
+     r"bad dataset header: region_count must be two integers, got \(1.3,\)"),
     (_mutate_spec("region_radius", [1.0, 2.0, 3.0]), "region_radius must be two finite"),
-    (_mutate_spec("region_count", [1, "3"]), "region_count must be two finite"),
+    (_mutate_spec("region_count", [1, "3"]), "region_count must be two integers"),
     (_mutate_spec("noise_std", float("nan")), "bad dataset header: noise_std must be finite"),
     (_mutate_spec("archetype_scale", float("inf")),
      "bad dataset header: archetype_scale must be finite"),
+    (_mutate_spec("folds", 3.0),
+     "bad dataset header: dataset spec field 'folds' must be an integer, got 3.0"),
+    (_mutate_spec("rows", 8.5), "dataset spec field 'rows' must be an integer, got 8.5"),
+    (_mutate_spec("seed", "x"), "dataset spec field 'seed' must be an integer, got 'x'"),
+    (_mutate_spec("samples", 6.0), "dataset spec field 'samples' must be an integer"),
+    (_mutate_spec("region_count", [1.0, 3]), "region_count must be two integers"),
 ], ids=["missing-stage", "type-7", "stage-negative", "type-string", "fold-float",
         "stage-bool", "fold-negative", "fold-too-large", "negative-id", "duplicate-id",
         "spec-folds-string", "spec-folds-zero", "spec-region-count-single",
         "spec-region-radius-triple", "spec-region-count-string", "spec-noise-nan",
-        "spec-archetype-scale-inf"])
+        "spec-archetype-scale-inf", "spec-folds-float", "spec-rows-fraction",
+        "spec-seed-string", "spec-samples-float", "spec-region-count-float"])
 def test_dataset_header_sample_entries_are_validated(tmp_path, tiny_ds, mutate,
                                                      message):
     path = tmp_path / "d.mgts"
@@ -554,6 +582,29 @@ def test_dataset_header_sample_entries_are_validated(tmp_path, tiny_ds, mutate,
     with pytest.raises(ParseError, match=message) as exc:
         load_dataset(path)
     assert exc.value.offset == 12  # the JSON header
+
+
+SPEC_INT_FIELDS = ("samples", "rows", "cols", "dim", "seed", "folds")
+json_values = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.text(max_size=4), st.none(),
+    st.lists(st.one_of(st.integers(-2, 12), st.floats(-2.0, 12.0), st.booleans(),
+                       st.text(max_size=2)), max_size=3))
+
+
+@settings(max_examples=150)
+@given(field=st.sampled_from([f.name for f in dataclasses.fields(SyntheticSpec)]),
+       value=json_values)
+def test_any_json_value_in_a_spec_field_loads_or_raises_parse_error(
+        tiny_ds, tmp_path_factory, field, value):
+    path = tmp_path_factory.getbasetemp() / "spec_field.mgts"
+    save_dataset(tiny_ds, path)
+    rewrite_dataset_header(path, _mutate_spec(field, value))
+    try:
+        spec = load_dataset(path).spec
+    except ParseError:
+        return
+    assert all(type(getattr(spec, name)) is int for name in SPEC_INT_FIELDS)
+    assert all(type(v) is int for v in spec.region_count)
 
 
 def test_dataset_truncation_is_rejected(tmp_path, tiny_ds):

@@ -280,7 +280,8 @@ def chain_cross_entropy(logits, labels):
 
 def chain_mincut_loss(s, norm_adj, deg_tilde):
     n, p = s.shape
-    z = T.mul(s, constant(np.sqrt(np.asarray(deg_tilde, dtype=np.float64)).reshape(n, 1)))
+    root = np.sqrt(np.asarray(deg_tilde, dtype=np.float64)).reshape(n, 1)
+    z = T.mul(s, constant(np.repeat(root, p, axis=1)))
     cut_num = T.sum_all(T.mul(T.spmm(norm_adj, z), z))
     cut_den = T.sum_all(T.mul(z, z))
     cut = T.scale(chain_div_by_scalar(cut_num, cut_den), -1.0)

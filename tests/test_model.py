@@ -1,14 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from slidegt import fileio
 from slidegt import tensor as T
 from slidegt.errors import ConfigError, ContractError
 from slidegt.graph import FeatureGrid, build_graph
-from slidegt.losses import cross_entropy
+from slidegt.losses import LossWeights, cross_entropy
 from slidegt.model import (BranchConfig, ModelConfig, SlideGraphTransformer,
                            default_branches, softmax_1d)
+from slidegt.pooling import POOL_KINDS
 from slidegt.tensor import backward
+from slidegt.train import PARADIGMS, assemble_loss, paradigm_model_config
 
 
 def small_config(**kw):
@@ -141,6 +146,58 @@ def test_single_task_model_has_no_other_branch():
     out = model.forward(small_graph(13), np.random.default_rng(0))
     assert set(out.logits) == {"staging"}
     assert not any(n.startswith("typing.") for n, _ in model.parameters())
+
+
+def tape_leaves(loss):
+    """Every leaf tensor reached by walking the tape back from loss."""
+    leaves, seen, stack = [], set(), [loss._node]
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.leaf is not None:
+            leaves.append(node.leaf)
+        stack.extend(node.parents)
+    return leaves
+
+
+@pytest.mark.parametrize("paradigm", PARADIGMS)
+@pytest.mark.parametrize("scheme", ["specific", "shared"])
+@pytest.mark.parametrize("kind", POOL_KINDS)
+@pytest.mark.parametrize("task", ["typing", "staging"])
+def test_every_trained_parameter_is_on_the_tape(tmp_path, task, kind, scheme, paradigm):
+    # reachability, not a nonzero gradient: a dead ReLU can zero a whole head
+    branches = tuple(replace(b, pooling=kind) if b.task == task else b
+                     for b in small_config().branches)
+    cfg = small_config(branches=branches, token_scheme=scheme, head_init="random")
+    model = SlideGraphTransformer(paradigm_model_config(cfg, paradigm), seed=35)
+    g = small_graph(36, rows=4, cols=5)
+    labels = {name: 1 for name in model.branches}
+    loss = assemble_loss(model.forward(g, np.random.default_rng(0)), g, labels,
+                         LossWeights())
+    reached = {id(leaf) for leaf in tape_leaves(loss)}
+    assert [name for name, p in model.parameters() if id(p) not in reached] == []
+    path = tmp_path / "m.mgtc"
+    fileio.save_checkpoint(model, path)
+    _, blobs = fileio._read_container(path, fileio.CHECKPOINT_MAGIC)
+    assert list(blobs) == [name for name, _ in model.state()]
+
+
+def test_selection_scorers_are_saved_but_not_trained():
+    cfg = small_config(branches=(
+        BranchConfig(task="typing", pooling="topk", tokens=3, pool_size=4),
+        BranchConfig(task="staging", pooling="sag", tokens=3, pool_size=2)))
+    model = SlideGraphTransformer(cfg, seed=37)
+    state = [name for name, _ in model.state()]
+    trained = [name for name, _ in model.parameters()]
+    assert [n for n in state if n.endswith(".pool.w")] == ["typing.pool.w", "staging.pool.w"]
+    assert trained == [n for n in state if not n.endswith(".pool.w")]
+    # each scorer sits between its branch's injection and head, as registered
+    for task in ("typing", "staging"):
+        at = state.index(f"{task}.pool.w")
+        assert state[at - 1].startswith(f"{task}.inject.")
+        assert state[at + 1] == f"{task}.head.cls"
 
 
 def test_same_seed_builds_identical_models():

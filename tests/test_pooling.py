@@ -14,6 +14,7 @@ from slidegt.pooling import (POOL_KINDS, ClusterPool, GraphMultisetPool, SelectP
                              make_pool)
 from slidegt.tensor import Tensor, constant
 from test_graph import grid_from_mask
+from test_train import ops_made
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -298,3 +299,16 @@ def test_relu_normalized_assignment_reaches_gcmincut_only(kind):
                           assign_softmax=flag)(h, g.norm_adj, None)[0].data
                 for flag in (True, False)]
     assert not np.array_equal(gcmincut[0], gcmincut[1])
+
+
+@pytest.mark.parametrize("assign_softmax", [True, False])
+def test_gcmincut_assignment_is_four_ops(assign_softmax):
+    # scores, propagation, relu and one row normalizer; the relu row
+    # normalization is one op with an all-zero row too
+    rng = np.random.default_rng(31)
+    pool = ClusterPool("gcmincut", rng, dim=4, clusters=3, assign_softmax=assign_softmax)
+    h = rand_h(rng, 5, 4, grad=True)
+    h.data[2] = 0.0  # with an identity adjacency, an all-zero score row
+    s, made = ops_made(lambda: pool.assignment(h, eye_adj(5)))
+    assert made == 4
+    assert_allclose(s.data[2], np.full(3, 1.0 / 3), atol=1e-15)

@@ -161,15 +161,11 @@ def test_gradients_match_fd_elementwise_ops():
     rng = np.random.default_rng(7)
     a = rand(rng, 4, 3)
     b = rand(rng, 4, 3)
-    col = rand(rng, 4, 1)
     c = constant(rng.normal(0, 1, (4, 3)))
-    d = Tensor(rng.uniform(0.5, 1.5, (4, 3)), requires_grad=True)
 
     cases = [
         (lambda: T.sum_all(T.mul(T.add(a, b), c)), [a, b]),
         (lambda: T.sum_all(T.mul(T.mul(a, b), c)), [a, b]),
-        (lambda: T.sum_all(T.mul(T.mul(a, col), c)), [a, col]),
-        (lambda: T.sum_all(T.mul(T.div(a, d), c)), [a, d]),
         (lambda: T.sum_all(T.mul(T.scale(a, -1.7), c)), [a]),
     ]
     for build, params in cases:
@@ -292,6 +288,75 @@ def test_gradients_match_fd_softmaxes():
     assert_grads_match_fd(lambda: T.sum_all(T.mul(T.softmax_rows(x), c)), [x])
 
 
+def test_gradients_match_fd_normalize_rows_beside_an_all_zero_row():
+    # the zero row is a constant, since an FD step would make it nonzero
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.uniform(0.2, 1.5, (3, 4)), requires_grad=True)
+    zero = constant(np.zeros((1, 4)))
+    c = constant(rng.normal(0, 1, (4, 4)))
+    assert_grads_match_fd(
+        lambda: T.sum_all(T.mul(T.normalize_rows(T.concat_rows(x, zero)), c)), [x])
+    assert_array_equal(T.normalize_rows(T.concat_rows(x, zero)).data[3], [0.25] * 4)
+
+
+# The relu assignment's row normalization as the chain of generic ops it
+# was, kept as an oracle.  Two of those ops (a same-shape div, a mul by a
+# column) have no other caller, so they are rebuilt here as they were.
+
+
+def chain_div(a, b):
+    need_a = a.requires_grad
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data
+
+    def back(g):
+        return (g / b_data if need_a else None,
+                None if a_data is None else -g * a_data / (b_data * b_data))
+
+    return T._result(a.data / b.data, (a, b), back)
+
+
+def chain_mul_column(a, col):
+    a_data = a.data if col.requires_grad else None
+    col_data = col.data if a.requires_grad else None
+
+    def back(g):
+        return (None if col_data is None else g * col_data,
+                None if a_data is None else (g * a_data).sum(axis=1, keepdims=True))
+
+    return T._result(a.data * col.data, (a, col), back)
+
+
+def chain_normalize_rows(scores):
+    n, p = scores.shape
+    zero_rows = scores.data.sum(axis=1) == 0.0
+    if zero_rows.any():
+        fix = np.zeros_like(scores.data)
+        fix[zero_rows] = 1.0
+        scores = T.add(scores, constant(fix))
+    row_sums = T.matmul(scores, constant(np.ones((p, 1))))
+    inv = chain_div(constant(np.ones((n, 1))), row_sums)
+    return chain_mul_column(scores, inv)
+
+
+@pytest.mark.parametrize("n", [1, 7, 255, 257, 899])
+@pytest.mark.parametrize("p", [1, 3, 16, 39])
+def test_normalize_rows_keeps_the_bits_of_the_op_chain(n, p):
+    rng = np.random.default_rng(1000 * n + p)
+    for zero_share in (0.0, 0.2, 1.0):
+        data = np.maximum(rng.normal(0.0, 1.0, (n, p)), 0.0)  # relu-like
+        data[rng.random(n) < zero_share] = 0.0
+        g = constant(rng.normal(0.0, 1.0, (n, p)))
+
+        def run(op):
+            x = Tensor(data, requires_grad=True)
+            out = op(T.relu(x))
+            backward(T.sum_all(T.mul(out, g)))
+            return out.data.tobytes(), x.grad.tobytes()
+
+        assert run(T.normalize_rows) == run(chain_normalize_rows), zero_share
+
+
 @pytest.mark.parametrize("clusters", [1, 3])
 def test_gradients_match_fd_loss_ops(clusters):
     rng = np.random.default_rng(24 + clusters)
@@ -357,8 +422,6 @@ def test_backward_accumulates_across_calls():
 OP_CASES = [
     ("add-0", T.add, [(3, 4), (3, 4)]),
     ("mul-5", T.mul, [(3, 4), (3, 4)]),
-    ("mul-7", T.mul, [(3, 4), (3, 1)]),
-    ("div-8", T.div, [(3, 4), (3, 4)]),
     ("scale-10", lambda a: T.scale(a, 0.5), [(3, 4)]),
     ("matmul-11", T.matmul, [(3, 4), (4, 2)]),
     ("spmm-12", lambda x: T.spmm(np.eye(3), x), [(3, 4)]),
@@ -376,6 +439,7 @@ OP_CASES = [
      [(1, 4), (2, 4)] + [(1, 4, 3)] * 3),
     ("cross_entropy-26", lambda x: T.cross_entropy(x, np.array([2, 0, 3])), [(3, 4)]),
     ("mincut_terms-27", lambda s: T.mincut_terms(s, np.eye(3), np.ones(3))[0], [(3, 4)]),
+    ("normalize_rows-28", T.normalize_rows, [(3, 4)]),
 ]
 
 
@@ -497,8 +561,9 @@ def test_shape_mismatch_raises_with_both_shapes():
         T.matmul(a, b)
     with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 2\)"):
         T.spmm(a.data, b)
-    with pytest.raises(DimensionError):
-        T.mul(a, Tensor(np.zeros((3, 1))))
+    # nor is a column b of mul
+    with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 1\)"):
+        T.mul(a, Tensor(np.zeros((2, 1))))
     # a row bias is no case of add; linear adds it
     with pytest.raises(DimensionError, match=r"\(2, 3\).*\(3,\)"):
         T.add(a, Tensor(np.zeros(3)))
@@ -506,9 +571,9 @@ def test_shape_mismatch_raises_with_both_shapes():
         T.linear(a, Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
     with pytest.raises(DimensionError, match=r"\(2, 3\), \(3, 3\) and \(2,\)"):
         T.mincut_terms(a, np.eye(3), np.ones(2))
-    # a scalar b is no case of add, mul or div
+    # a scalar b is no case of add or mul
     wide, scalar = Tensor(np.zeros((3, 4))), Tensor(1.0)
-    for op in (T.add, T.mul, T.div):
+    for op in (T.add, T.mul):
         with pytest.raises(DimensionError, match=r"\(3, 4\).*\(\)"):
             op(wide, scalar)
 
@@ -528,9 +593,10 @@ def test_non_finite_values_rejected_at_creation_and_after_ops():
     with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteError):
             T.add(big, big)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    huge = Tensor([[1e200]])
+    with np.errstate(over="ignore"):
         with pytest.raises(NonFiniteError):
-            T.div(Tensor([[1.0]]), Tensor([[0.0]]))
+            T.mul(huge, huge)
 
 
 def test_constant_wrapper_does_not_track_gradients():
@@ -550,8 +616,9 @@ def test_no_grad_records_no_tape_and_restores_on_exception():
         y = T.matmul(w, w)
         assert not y.requires_grad
         assert y._node is None
-        with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
-            T.div(w, Tensor(np.zeros((2, 2))))  # the eager finite check stays on
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            huge = T.scale(w, 1e200)
+            T.mul(huge, huge)  # the eager finite check stays on
     assert T.matmul(w, w).requires_grad
     with pytest.raises(ContractError):
         with T.no_grad():
