@@ -1,12 +1,23 @@
 """Binary file formats: datasets, checkpoints, embedding dumps.
 
-All integers are little-endian.  Grid blobs ("MGT1") carry the occupancy
-bitmap (row-major cells, LSB-first within each byte) and float32 features per
-occupied cell.  Checkpoints ("MGTC"), embedding dumps ("MGTE") and datasets
-("MGTS") share one framing: magic, u32 format version, u32 header length and
-a JSON header.  Checkpoints and embedding dumps follow it with length-prefixed
-named float64 blobs of rank at most 3; datasets with one tumor mask and one
-MGT1 blob per sample (labels and fold ids sit in the header).
+All integers are little-endian.  Checkpoints ("MGTC"), embedding dumps
+("MGTE") and datasets ("MGTS") share one framing: magic, u32 format version,
+u32 header length and a JSON header.  Checkpoints and embedding dumps (version
+1) follow it with length-prefixed named float64 blobs of rank at most 3.
+
+Datasets (version 2) hold labels, fold ids and the generating spec in the
+header, then a u32 sample count and, per sample, three blocks with no length
+prefixes, each sized by the spec:
+
+- the occupancy bitmap, ceil(rows*cols/8) bytes: row-major cells, LSB-first
+  within each byte;
+- the tumor bitmap, ceil(n/8) bytes, one bit per occupied cell in the same
+  order and packing, where n is the occupancy bitmap's popcount;
+- n*dim float32 features, one row per occupied cell.
+
+Version-1 datasets, whose samples held a length-prefixed tumor mask and a
+length-prefixed "MGT1" grid blob, are rejected; ``slidegt synth`` with the
+spec fields of the old file's header writes the same slides again.
 
 Readers parse fully in memory and validate before returning anything, so a
 truncated or corrupt file is rejected outright; error messages name the byte
@@ -26,14 +37,13 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, Sample, SyntheticSpec
-from .errors import CheckpointError, ConfigError, ParseError
+from .errors import CheckpointError, ConfigError, ContractError, ParseError
 from .graph import FeatureGrid
 
-GRID_MAGIC = b"MGT1"
 CHECKPOINT_MAGIC = b"MGTC"
 EMBEDDINGS_MAGIC = b"MGTE"
 DATASET_MAGIC = b"MGTS"
-FORMAT_VERSION = 1
+FORMAT_VERSIONS = {CHECKPOINT_MAGIC: 1, EMBEDDINGS_MAGIC: 1, DATASET_MAGIC: 2}
 
 
 class _Reader:
@@ -58,6 +68,11 @@ class _Reader:
     def u32(self, what):
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def bits(self, count, what):
+        """count bits packed LSB-first into ceil(count / 8) bytes, as bools."""
+        raw = np.frombuffer(self.take((count + 7) // 8, what), dtype=np.uint8)
+        return np.unpackbits(raw, count=count, bitorder="little").astype(bool)
+
     def expect_magic(self, magic):
         if self.take(len(magic), "magic") != magic:
             raise ParseError(f"bad magic, expected {magic!r}", offset=0)
@@ -80,58 +95,6 @@ def _parse_json(raw, offset):
         raise ParseError(f"JSON header is not an object: {type(header).__name__}",
                          offset=offset)
     return header
-
-
-# ------------------------------------------------------------------- grids
-
-
-def grid_to_bytes(grid):
-    cells = np.zeros(grid.rows * grid.cols, dtype=bool)
-    cells[:] = grid.occupancy.reshape(-1)
-    bitmap = np.packbits(cells, bitorder="little").tobytes()
-    out = bytearray()
-    out += GRID_MAGIC
-    n = grid.features.shape[0]
-    out += struct.pack("<4I", grid.rows, grid.cols, grid.features.shape[1], n)
-    out += bitmap
-    out += grid.features.astype("<f4").tobytes()
-    return bytes(out)
-
-
-def grid_from_bytes(buf):
-    r = _Reader(buf)
-    r.expect_magic(GRID_MAGIC)
-    rows_at, rows = r.pos, r.u32("row count")
-    cols_at, cols = r.pos, r.u32("column count")
-    dim_at, dim = r.pos, r.u32("feature width")
-    count_at, count = r.pos, r.u32("occupied count")
-    if rows < 1:
-        raise ParseError(f"row count must be >= 1, got {rows}", offset=rows_at)
-    if cols < 1:
-        raise ParseError(f"column count must be >= 1, got {cols}", offset=cols_at)
-    if dim < 1:
-        raise ParseError(f"feature width must be >= 1, got {dim}", offset=dim_at)
-    if not 1 <= count <= rows * cols:
-        raise ParseError(
-            f"occupied count {count} out of range for {rows}x{cols} grid",
-            offset=count_at)
-    n_cells = rows * cols
-    bitmap_at = r.pos
-    bitmap = r.take((n_cells + 7) // 8, "occupancy bitmap")
-    cells = np.unpackbits(np.frombuffer(bitmap, dtype=np.uint8),
-                          count=n_cells, bitorder="little").astype(bool)
-    if int(cells.sum()) != count:
-        raise ParseError(
-            f"occupancy bitmap has {int(cells.sum())} set cells, header says {count}",
-            offset=bitmap_at)
-    feat_at = r.pos
-    raw = r.take(count * dim * 4, "feature block")
-    r.expect_end()
-    features = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(count, dim)
-    if not np.isfinite(features).all():
-        raise ParseError("non-finite feature values", offset=feat_at)
-    return FeatureGrid(rows=rows, cols=cols,
-                       occupancy=cells.reshape(rows, cols), features=features)
 
 
 # ------------------------------------------------------------------ framing
@@ -165,7 +128,7 @@ def write_json(path, obj):
 def _write_framed(path, magic, header, body):
     """Write magic, u32 version, u32 header length, JSON header, then body."""
     header_raw = _json_bytes(header)
-    write_atomic(path, magic + struct.pack("<II", FORMAT_VERSION, len(header_raw))
+    write_atomic(path, magic + struct.pack("<II", FORMAT_VERSIONS[magic], len(header_raw))
                  + header_raw, body)
 
 
@@ -175,7 +138,7 @@ def _read_framed(path, magic):
         r = _Reader(fh.read())
     r.expect_magic(magic)
     version_at, version = r.pos, r.u32("format version")
-    if version != FORMAT_VERSION:
+    if version != FORMAT_VERSIONS[magic]:
         raise ParseError(f"unsupported format version {version}", offset=version_at)
     header_len = r.u32("header length")
     header_at = r.pos
@@ -284,18 +247,26 @@ def load_embeddings(path):
 
 
 def save_dataset(dataset, path):
+    """Write dataset; every sample must have the spec's grid shape and feature
+    width and one tumor bit per node, since the reader sizes its blocks by them."""
+    spec = dataset.spec
     meta = [{"id": s.sample_id, "type": s.label_type, "stage": s.label_stage,
              "fold": int(dataset.folds[i])}
             for i, s in enumerate(dataset.samples)]
-    header = {"kind": "dataset", "spec": dataset.spec.to_dict(), "samples": meta}
+    header = {"kind": "dataset", "spec": spec.to_dict(), "samples": meta}
     out = bytearray(struct.pack("<I", len(dataset.samples)))
-    for sample in dataset.samples:
-        mask_bytes = np.packbits(sample.tumor_mask, bitorder="little").tobytes()
-        grid_bytes = grid_to_bytes(sample.grid)
-        out += struct.pack("<I", len(mask_bytes))
-        out += mask_bytes
-        out += struct.pack("<I", len(grid_bytes))
-        out += grid_bytes
+    for i, sample in enumerate(dataset.samples):
+        grid = sample.grid
+        n, dim = grid.features.shape
+        if (grid.rows, grid.cols, dim, sample.tumor_mask.shape) != (
+                spec.rows, spec.cols, spec.dim, (n,)):
+            raise ContractError(
+                f"sample {i}: {grid.rows}x{grid.cols} grid, feature width {dim} and "
+                f"{sample.tumor_mask.size} tumor bits do not fit the spec's "
+                f"{spec.rows}x{spec.cols} grid, width {spec.dim} and {n} nodes")
+        out += np.packbits(grid.occupancy, axis=None, bitorder="little").tobytes()
+        out += np.packbits(sample.tumor_mask, bitorder="little").tobytes()
+        out += grid.features.astype("<f4").tobytes()
     _write_framed(path, DATASET_MAGIC, header, out)
 
 
@@ -339,29 +310,21 @@ def load_dataset(path):
         raise ParseError(f"sample count {count}, spec says {spec.samples}", offset=count_at)
     samples = []
     folds = np.empty(count, dtype=np.int64)
+    cells = spec.rows * spec.cols
     for i in range(count):
-        mask_len = r.u32("mask length")
-        mask_at = r.pos
-        mask_raw = r.take(mask_len, "tumor mask")
-        grid_len = r.u32("grid blob length")
-        grid_at = r.pos
-        grid_raw = r.take(grid_len, "grid blob")
+        sample_at = r.pos
+        occupancy = r.bits(cells, "occupancy bitmap")
+        n = int(occupancy.sum())
+        mask = r.bits(n, "tumor bitmap")
+        raw = r.take(n * spec.dim * 4, "feature block")
+        with np.errstate(invalid="ignore"):  # a signalling NaN is FeatureGrid's to reject
+            features = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         try:
-            grid = grid_from_bytes(grid_raw)
-        except ParseError as exc:
-            raise ParseError(f"sample {i}: {exc}", offset=grid_at) from None
-        n, dim = grid.features.shape
-        if (grid.rows, grid.cols) != (spec.rows, spec.cols):
-            raise ParseError(f"sample {i}: grid is {grid.rows}x{grid.cols}, spec says "
-                             f"{spec.rows}x{spec.cols}", offset=grid_at)
-        if dim != spec.dim:
-            raise ParseError(f"sample {i}: feature width {dim}, spec says {spec.dim}",
-                             offset=grid_at)
-        if mask_len != (n + 7) // 8:
-            raise ParseError(
-                f"sample {i}: mask has {mask_len} bytes for {n} nodes", offset=mask_at)
-        mask = np.unpackbits(np.frombuffer(mask_raw, dtype=np.uint8),
-                             count=n, bitorder="little").astype(bool)
+            grid = FeatureGrid(rows=spec.rows, cols=spec.cols,
+                               occupancy=occupancy.reshape(spec.rows, spec.cols),
+                               features=features.reshape(n, spec.dim))
+        except ContractError as exc:  # shapes come from the spec, so never DimensionError
+            raise ParseError(f"sample {i}: {exc}", offset=sample_at) from None
         ratio = float(mask.sum()) / n
         m = meta[i]
         samples.append(Sample(

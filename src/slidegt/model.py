@@ -158,7 +158,8 @@ class Branch:
         self.bank = bank
         self.inject = InjectionBlock(rng, config.dim, config.heads, config.scale_attention)
         self.pool = make_pool(branch_cfg.pooling, rng, config.dim, branch_cfg.pool_size,
-                              heads=config.heads, assign_softmax=config.assign_softmax)
+                              heads=config.heads, assign_softmax=config.assign_softmax,
+                              scale_scores=config.scale_attention)
         self.head = TransformerHead(rng, config.dim, config.heads,
                                     config.transformer_depth, branch_cfg.classes,
                                     config.scale_attention, config.head_init == "zero")

@@ -116,11 +116,11 @@ class GraphMultisetPool:
     kind = "gm"
     draws = False
 
-    def __init__(self, rng, dim, seeds, heads):
+    def __init__(self, rng, dim, seeds, heads, scale_scores=True):
         if seeds < 1:
             raise ConfigError(f"seed count must be >= 1, got {seeds}")
         self.seeds = normal_param(rng, (seeds, dim))
-        self.attn = MultiHeadWeights(rng, dim, heads)
+        self.attn = MultiHeadWeights(rng, dim, heads, scale_scores)
 
     def __call__(self, h, norm_adj, rng):
         return attend(self.attn, self.seeds, h), {}
@@ -130,12 +130,12 @@ class GraphMultisetPool:
                 + self.attn.parameters(f"{prefix}.attn"))
 
 
-def make_pool(kind, rng, dim, size, heads=1, assign_softmax=True):
+def make_pool(kind, rng, dim, size, heads=1, assign_softmax=True, scale_scores=True):
     """Build a pool by kind name; ``size`` is the kept-node or cluster count."""
     if kind in SELECT_KINDS:
         return SelectPool(kind, size, rng, dim)
     if kind in CLUSTER_KINDS:
         return ClusterPool(kind, rng, dim, size, assign_softmax)
     if kind == "gm":
-        return GraphMultisetPool(rng, dim, size, heads)
+        return GraphMultisetPool(rng, dim, size, heads, scale_scores)
     raise ConfigError(f"unknown pooling kind {kind!r}; expected one of {POOL_KINDS}")

@@ -24,8 +24,7 @@ from scipy.stats import chi2
 
 from slidegt import tensor as T
 from slidegt.data import SyntheticSpec, generate
-from slidegt.fileio import (grid_from_bytes, grid_to_bytes, load_checkpoint,
-                            save_checkpoint)
+from slidegt.fileio import load_checkpoint, load_dataset, save_checkpoint, save_dataset
 from slidegt.gcn import GcnStack
 from slidegt.gradcheck import build_check_model, check_gradients
 from slidegt.graph import FeatureGrid, build_graph
@@ -333,10 +332,10 @@ def test_criterion_7_metric_oracles():
 def test_criterion_8_bitwise_reproducibility(tmp_path):
     ds = generate(SyntheticSpec(samples=10, rows=10, cols=10, dim=4, seed=6,
                                 region_radius=(1.0, 2.5), folds=2))
-    grids_ok = all(
-        grid_to_bytes(grid_from_bytes(grid_to_bytes(s.grid))) ==
-        grid_to_bytes(s.grid)
-        for s in ds.samples)
+    data, data_again = tmp_path / "data.mgts", tmp_path / "again.mgts"
+    save_dataset(ds, data)
+    save_dataset(load_dataset(data), data_again)
+    dataset_ok = data.read_bytes() == data_again.read_bytes()
 
     cfg = TrainConfig(
         model=ModelConfig(
@@ -367,8 +366,8 @@ def test_criterion_8_bitwise_reproducibility(tmp_path):
     lb = load_checkpoint(ck).forward(graph, np.random.default_rng(1)).logits
     logits_ok = all((la[t].data == lb[t].data).all() for t in la)
 
-    ok = grids_ok and reports_ok and checkpoint_ok and logits_ok
+    ok = dataset_ok and reports_ok and checkpoint_ok and logits_ok
     report(8, ok,
-           f"grid bytes stable: {grids_ok}; rerun reports identical: "
+           f"dataset bytes stable: {dataset_ok}; rerun reports identical: "
            f"{reports_ok}; checkpoint bytes stable: {checkpoint_ok}; "
            f"reloaded logits bitwise: {logits_ok}")

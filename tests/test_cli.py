@@ -1,5 +1,6 @@
 import json
 import shlex
+import shutil
 import warnings
 from pathlib import Path
 
@@ -13,8 +14,8 @@ from slidegt.graph import build_graph
 from slidegt.model import ModelConfig
 from slidegt.tensor import constant, no_grad
 from slidegt.train import TrainConfig, evaluate
-from test_fileio import (_mutate_spec, cut_dataset, empty_dataset, narrowed_dataset,
-                         rewrite_dataset_header, taller_dataset, write_non_object_header)
+from test_fileio import (SIGNALLING_NAN, _mutate_spec, cut_dataset, empty_dataset,
+                         rewrite_dataset_header, sample_starts, write_non_object_header)
 
 SYNTH = ["synth", "--samples", "8", "--rows", "10", "--cols", "10",
          "--dim", "4", "--seed", "3", "--radius", "1.0", "2.5",
@@ -363,37 +364,58 @@ def test_eval_of_a_cell_reproduces_its_training_record(data_path, checkpoint, tm
 
 @pytest.fixture(scope="module")
 def bad_datasets(data_path, tmp_path_factory):
-    """Files that load_dataset rejects: no samples, sample 2 one column narrow,
-    sample 1 one grid row taller, and 3 of the spec's 8 samples."""
+    """Files that load_dataset rejects: no samples, a header spec one feature
+    narrower (dim 4 -> 3) or one grid row taller (rows 10 -> 11) than the
+    samples the body holds, and 3 of the spec's 8 samples."""
     ds = load_dataset(data_path)
     root = tmp_path_factory.mktemp("bad_data")
     fileio.save_dataset(empty_dataset(ds), root / "empty.mgts")
-    fileio.save_dataset(narrowed_dataset(ds, 2), root / "narrow.mgts")
-    fileio.save_dataset(taller_dataset(ds, 1), root / "tall.mgts")
+    for name, key, value in (("narrow", "dim", 3), ("tall", "rows", 11)):
+        shutil.copy(data_path, root / f"{name}.mgts")
+        rewrite_dataset_header(root / f"{name}.mgts", _mutate_spec(key, value))
     fileio.save_dataset(cut_dataset(ds, 3), root / "cut.mgts")
     return root
 
 
+def dataset_argv(command, data, checkpoint, tmp_path):
+    return {
+        "train": ["train", "--data", data] + TRAIN_FLAGS,
+        "eval": ["eval", "--checkpoint", str(checkpoint), "--data", data],
+        "export-embeddings": ["export-embeddings", "--checkpoint", str(checkpoint),
+                              "--data", data, "--out", str(tmp_path / "emb.mgte")],
+    }[command]
+
+
+# a body read under a spec it was not written for misparses: here a block
+# boundary lands inside the features, so sample 1 reads a NaN
 @pytest.mark.parametrize("name, message", [
     ("empty", "dataset has no samples"),
-    ("narrow", "sample 2: feature width 3, spec says 4"),
-    ("tall", "sample 1: grid is 11x10, spec says 10x10"),
+    ("narrow", "sample 1: grid features contain non-finite values"),
+    ("tall", "sample 1: grid features contain non-finite values"),
     ("cut", "sample count 3, spec says 8"),
 ])
 @pytest.mark.parametrize("command", ["train", "eval", "export-embeddings"])
 def test_a_dataset_with_no_samples_or_a_narrow_sample_exits_one(
         bad_datasets, checkpoint, tmp_path, command, name, message, capsys):
     data = str(bad_datasets / f"{name}.mgts")
-    argv = {
-        "train": ["train", "--data", data] + TRAIN_FLAGS,
-        "eval": ["eval", "--checkpoint", str(checkpoint), "--data", data],
-        "export-embeddings": ["export-embeddings", "--checkpoint", str(checkpoint),
-                              "--data", data, "--out", str(tmp_path / "emb.mgte")],
-    }[command]
-    assert main(argv) == 1
+    assert main(dataset_argv(command, data, checkpoint, tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message} (byte offset ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "export-embeddings"])
+def test_a_signalling_nan_feature_prints_one_error_line_at_its_sample(
+        data_path, checkpoint, tmp_path, command, capsys):
+    path = tmp_path / "snan.mgts"
+    path.write_bytes(data_path.read_bytes()[:-4] + SIGNALLING_NAN)  # the last feature
+    at = sample_starts(data_path)[-1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(dataset_argv(command, str(path), checkpoint, tmp_path)) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        f"error: sample 7: grid features contain non-finite values (byte offset {at})\n")
 
 
 def test_train_flag_defaults_are_the_config_defaults(data_path, monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
 from slidegt import fileio
-from slidegt.data import SyntheticSpec, generate
-from slidegt.errors import CheckpointError, ParseError
-from slidegt.fileio import (grid_from_bytes, grid_to_bytes, load_checkpoint,
-                            load_dataset, load_embeddings, save_checkpoint,
+from slidegt.data import Dataset, Sample, SyntheticSpec, generate
+from slidegt.errors import CheckpointError, ContractError, ParseError
+from slidegt.fileio import (load_checkpoint, load_dataset, load_embeddings, save_checkpoint,
                             save_dataset, save_embeddings)
 from slidegt.graph import FeatureGrid
 from slidegt.model import BranchConfig, ModelConfig, SlideGraphTransformer
@@ -20,90 +20,160 @@ from slidegt.pooling import POOL_KINDS
 from test_model import small_config, small_graph
 
 
-def fixture_grid():
-    occ = np.array([[True, False, True], [False, True, False]])
-    feats = np.array([[1.5, -2.0], [0.25, 3.0], [-0.125, 8.0]])
-    return FeatureGrid(rows=2, cols=3, occupancy=occ, features=feats)
+FIXTURE_SPEC = SyntheticSpec(samples=2, rows=3, cols=4, dim=2, seed=0,
+                             region_radius=(0.5, 1.0), folds=2)
+FIXTURE_FEATURES = np.arange(32, dtype=np.float64).reshape(16, 2) / 4 - 3  # f32-exact
+
+
+def fixture_dataset():
+    """Two 3x4 slides: 5 occupied cells (3 tumor), then 11 (9 tumor)."""
+    occupancy = [np.array([[1, 0, 1, 1], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=bool),
+                 np.arange(12).reshape(3, 4) < 11]
+    masks = [np.array([1, 0, 0, 1, 1], dtype=bool), np.arange(11) < 9]
+    features = [FIXTURE_FEATURES[:5], FIXTURE_FEATURES[5:]]
+    samples = [Sample(sample_id=sid, label_type=sid, label_stage=1 - sid, tumor_mask=mask,
+                      tumor_ratio=mask.mean(),
+                      grid=FeatureGrid(rows=3, cols=4, occupancy=occ, features=feats))
+               for sid, occ, mask, feats in zip((0, 1), occupancy, masks, features)]
+    return Dataset(samples=samples, folds=np.array([1, 0]), spec=FIXTURE_SPEC)
 
 
 def fixture_bytes():
     """The same file assembled by hand from the documented layout."""
-    out = b"MGT1"
-    out += struct.pack("<4I", 2, 3, 2, 3)
-    # cells row-major 101 010, packed LSB-first: 0b00010101
-    out += bytes([0b00010101])
-    out += struct.pack("<6f", 1.5, -2.0, 0.25, 3.0, -0.125, 8.0)
+    header = json.dumps({"kind": "dataset", "spec": FIXTURE_SPEC.to_dict(), "samples": [
+        {"fold": 1, "id": 0, "stage": 1, "type": 0},
+        {"fold": 0, "id": 1, "stage": 0, "type": 1},
+    ]}, sort_keys=True, separators=(",", ":")).encode()
+    out = b"MGTS" + struct.pack("<II", 2, len(header)) + header
+    out += struct.pack("<I", 2)
+    # sample 0: cells row-major 1011 0100 1000, packed LSB-first into 2 bytes
+    out += bytes([0b00101101, 0b00000001])
+    out += bytes([0b00011001])  # tumor bits 10011 over its 5 nodes
+    out += struct.pack("<10f", *FIXTURE_FEATURES[:5].ravel())
+    # sample 1: the first 11 of 12 cells, then tumor on its first 9 nodes
+    out += bytes([0xFF, 0b00000111])
+    out += bytes([0xFF, 0b00000001])
+    out += struct.pack("<22f", *FIXTURE_FEATURES[5:].ravel())
     return out
 
 
-# -------------------------------------------------------------------- grids
+def sample_starts(path):
+    """The byte offset at which each sample of the dataset file at path starts."""
+    at = 12 + struct.unpack_from("<I", path.read_bytes(), 8)[0] + 4  # past the count
+    ds = load_dataset(path)
+    starts = []
+    for s in ds.samples:
+        starts.append(at)
+        n = s.tumor_mask.size
+        at += (ds.spec.rows * ds.spec.cols + 7) // 8 + (n + 7) // 8 + 4 * n * ds.spec.dim
+    return starts
 
 
-def test_grid_writer_matches_hand_assembled_bytes():
-    assert grid_to_bytes(fixture_grid()) == fixture_bytes()
+@pytest.fixture
+def fixture_path(tmp_path):
+    path = tmp_path / "fixture.mgts"
+    path.write_bytes(fixture_bytes())
+    return path
 
 
-def test_grid_reader_accepts_hand_assembled_bytes():
-    g = grid_from_bytes(fixture_bytes())
-    ref = fixture_grid()
-    assert (g.rows, g.cols) == (2, 3)
-    assert_array_equal(g.occupancy, ref.occupancy)
-    assert (g.features == ref.features).all()  # exact f32-representable values
+def test_dataset_writer_matches_hand_assembled_bytes(tmp_path):
+    save_dataset(fixture_dataset(), tmp_path / "d.mgts")
+    assert (tmp_path / "d.mgts").read_bytes() == fixture_bytes()
 
 
-def test_grid_round_trip_is_bitwise_stable():
-    raw = grid_to_bytes(fixture_grid())
-    assert grid_to_bytes(grid_from_bytes(raw)) == raw
+def test_dataset_reader_accepts_hand_assembled_bytes(fixture_path):
+    back = load_dataset(fixture_path)
+    ref = fixture_dataset()
+    assert back.spec == ref.spec
+    assert_array_equal(back.folds, ref.folds)
+    for a, b in zip(back.samples, ref.samples):
+        assert (a.sample_id, a.label_type, a.label_stage, a.tumor_ratio) == \
+               (b.sample_id, b.label_type, b.label_stage, b.tumor_ratio)
+        assert_array_equal(a.tumor_mask, b.tumor_mask)
+        assert_array_equal(a.grid.occupancy, b.grid.occupancy)
+        assert (a.grid.features == b.grid.features).all()  # exact f32-representable values
 
 
-def test_generated_features_round_trip_exactly():
+def test_generated_features_round_trip_exactly(tmp_path):
     ds = generate(SyntheticSpec(samples=2, rows=8, cols=8, dim=4, seed=1,
                                 region_radius=(1.0, 2.5), folds=2))
-    for s in ds.samples:
-        back = grid_from_bytes(grid_to_bytes(s.grid))
-        assert (back.features == s.grid.features).all()
-        assert_array_equal(back.occupancy, s.grid.occupancy)
+    save_dataset(ds, tmp_path / "d.mgts")
+    for s, back in zip(ds.samples, load_dataset(tmp_path / "d.mgts").samples):
+        assert back.grid.features.tobytes() == s.grid.features.tobytes()
+        assert_array_equal(back.grid.occupancy, s.grid.occupancy)
 
 
-def test_bad_magic_is_reported_at_offset_zero():
-    buf = b"XGT1" + fixture_bytes()[4:]
+def test_bad_magic_is_reported_at_offset_zero(fixture_path):
+    fixture_path.write_bytes(b"XGTS" + fixture_bytes()[4:])
     with pytest.raises(ParseError, match=r"bad magic.*byte offset 0") as exc:
-        grid_from_bytes(buf)
+        load_dataset(fixture_path)
     assert exc.value.offset == 0
 
 
-def test_every_truncation_prefix_is_rejected():
+def test_version_one_dataset_is_rejected_at_its_version(fixture_path):
+    buf = bytearray(fixture_bytes())
+    struct.pack_into("<I", buf, 4, 1)
+    fixture_path.write_bytes(bytes(buf))
+    with pytest.raises(ParseError, match=r"^unsupported format version 1 \(byte offset 4\)$"):
+        load_dataset(fixture_path)
+
+
+def test_every_truncation_prefix_is_rejected(fixture_path):
     buf = fixture_bytes()
     for k in range(len(buf)):
+        fixture_path.write_bytes(buf[:k])
         with pytest.raises(ParseError):
-            grid_from_bytes(buf[:k])
+            load_dataset(fixture_path)
 
 
-def test_trailing_bytes_are_rejected():
+def test_trailing_bytes_are_rejected(fixture_path):
+    fixture_path.write_bytes(fixture_bytes() + b"\x00")
+    with pytest.raises(ParseError, match="trailing") as exc:
+        load_dataset(fixture_path)
+    assert exc.value.offset == len(fixture_bytes())
+
+
+def test_popcount_mismatch_is_rejected(fixture_path):
+    # the popcount sizes the blocks after the bitmap, so one cell more or less
+    # in the last sample's bitmap leaves its features short or some bytes over
+    at = sample_starts(fixture_path)[1]
+    buf = bytearray(fixture_bytes())
+    buf[at + 1] = 0b00001111  # 12 cells set: 96 feature bytes, 88 left
+    fixture_path.write_bytes(bytes(buf))
+    with pytest.raises(ParseError, match="truncated file: needed 96 bytes for feature block"):
+        load_dataset(fixture_path)
+    buf[at + 1] = 0b00000011  # 10 cells set: 80 feature bytes, 88 left
+    fixture_path.write_bytes(bytes(buf))
     with pytest.raises(ParseError, match="trailing"):
-        grid_from_bytes(fixture_bytes() + b"\x00")
+        load_dataset(fixture_path)
 
 
-def test_popcount_mismatch_is_rejected():
+def test_impossible_occupancy_count_is_rejected(fixture_path):
+    at = sample_starts(fixture_path)[1]
     buf = bytearray(fixture_bytes())
-    struct.pack_into("<I", buf, 16, 2)  # header says 2 cells, bitmap has 3
-    buf = buf[:21] + buf[21 + 8:]       # drop one feature row to keep length
-    with pytest.raises(ParseError, match="set cells"):
-        grid_from_bytes(bytes(buf))
+    buf[at:at + 2] = b"\x00\x00"  # a slide with no tissue
+    fixture_path.write_bytes(bytes(buf))
+    with pytest.raises(ParseError, match="^sample 1: grid has no occupied cells") as exc:
+        load_dataset(fixture_path)
+    assert exc.value.offset == at
 
 
-def test_impossible_occupancy_count_is_rejected():
-    buf = bytearray(fixture_bytes())
-    struct.pack_into("<I", buf, 16, 7)  # 7 occupied cells on a 2x3 grid
-    with pytest.raises(ParseError, match="out of range"):
-        grid_from_bytes(bytes(buf))
+SIGNALLING_NAN = struct.pack("<I", 0x7FA00000)
 
 
-def test_non_finite_features_are_rejected():
-    buf = bytearray(fixture_bytes())
-    struct.pack_into("<f", buf, 21, float("nan"))
-    with pytest.raises(ParseError, match="non-finite"):
-        grid_from_bytes(bytes(buf))
+def test_non_finite_features_are_rejected(fixture_path):
+    # a signalling NaN must not warn while it is widened to float64
+    at = sample_starts(fixture_path)[1]
+    for bad in (struct.pack("<f", np.nan), struct.pack("<f", -np.inf), SIGNALLING_NAN):
+        buf = bytearray(fixture_bytes())
+        buf[-12:-8] = bad  # a feature of the last sample
+        fixture_path.write_bytes(bytes(buf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=r"^sample 1: grid features contain "
+                                                 r"non-finite values \(byte offset \d+\)$") as exc:
+                load_dataset(fixture_path)
+        assert exc.value.offset == at
 
 
 # -------------------------------------------------------------- checkpoints
@@ -345,16 +415,18 @@ def dataset_file(tmp_path_factory):
 def test_corrupt_dataset_loads_or_raises_a_typed_error(dataset_file, data):
     path, raw = dataset_file
     path.write_bytes(corrupt(raw, data))
-    try:
-        load_dataset(path)
-    except ParseError:
-        pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            load_dataset(path)
+        except ParseError:
+            pass
 
 
 def write_non_object_header(path, magic):
     """A container or dataset file whose JSON header is the list [1]."""
     raw = b"[1]"
-    path.write_bytes(magic + struct.pack("<II", fileio.FORMAT_VERSION, len(raw)) + raw
+    path.write_bytes(magic + struct.pack("<II", fileio.FORMAT_VERSIONS[magic], len(raw)) + raw
                      + struct.pack("<I", 0))
 
 
@@ -434,22 +506,25 @@ def test_dataset_round_trip_preserves_everything(tmp_path, tiny_ds):
         assert_array_equal(a.grid.occupancy, b.grid.occupancy)
 
 
-def test_dataset_save_load_save_is_bitwise_stable(tmp_path, tiny_ds):
+def test_dataset_save_load_save_is_bitwise_stable(tmp_path, tiny_ds, fixture_path):
     p1, p2 = tmp_path / "a.mgts", tmp_path / "b.mgts"
     save_dataset(tiny_ds, p1)
     save_dataset(load_dataset(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+    save_dataset(load_dataset(fixture_path), p2)
+    assert p2.read_bytes() == fixture_bytes()
 
 
 def test_dataset_with_corrupt_sample_names_it(tmp_path, tiny_ds):
     path = tmp_path / "d.mgts"
     save_dataset(tiny_ds, path)
+    at = sample_starts(path)[0]
     buf = bytearray(path.read_bytes())
-    at = buf.index(b"MGT1")  # first embedded grid blob
-    buf[at] = ord(b"X")
+    buf[at:at + 8] = bytes(8)  # sample 0's occupancy bitmap, emptied
     path.write_bytes(bytes(buf))
-    with pytest.raises(ParseError, match="sample 0"):
+    with pytest.raises(ParseError, match="^sample 0: grid has no occupied cells") as exc:
         load_dataset(path)
+    assert exc.value.offset == at
 
 
 def empty_dataset(ds):
@@ -486,16 +561,6 @@ def test_dataset_with_fewer_samples_than_its_spec_is_rejected(tmp_path, tiny_ds)
     assert path.read_bytes()[at:at + 4] == (3).to_bytes(4, "little")  # the count's
 
 
-def test_sample_of_another_feature_width_is_rejected_at_its_grid(tmp_path, tiny_ds):
-    path = tmp_path / "d.mgts"
-    save_dataset(narrowed_dataset(tiny_ds, 2), path)
-    with pytest.raises(ParseError, match="^sample 2: feature width 3, spec says 4") as exc:
-        load_dataset(path)
-    raw = path.read_bytes()
-    grids = [i for i in range(len(raw)) if raw.startswith(b"MGT1", i)]
-    assert exc.value.offset == grids[2]
-
-
 def taller_dataset(ds, i):
     """ds whose sample i has one more grid row, left unoccupied."""
     samples = list(ds.samples)
@@ -506,14 +571,25 @@ def taller_dataset(ds, i):
     return replace(ds, samples=samples)
 
 
-def test_sample_of_another_grid_shape_is_rejected_at_its_grid(tmp_path, tiny_ds):
+def short_mask_dataset(ds, i):
+    """ds whose sample i has lost its last tumor bit."""
+    samples = list(ds.samples)
+    samples[i] = replace(samples[i], tumor_mask=samples[i].tumor_mask[:-1])
+    return replace(ds, samples=samples)
+
+
+@pytest.mark.parametrize("misfit, message", [
+    (narrowed_dataset, "^sample 2: 8x8 grid, feature width 3 and"),
+    (taller_dataset, "^sample 2: 9x8 grid, feature width 4 and"),
+    (short_mask_dataset, r"^sample 2: 8x8 grid, feature width 4 and \d+ tumor bits do not fit"),
+], ids=["narrow", "tall", "short-mask"])
+def test_save_dataset_refuses_a_sample_that_does_not_fit_its_spec(tmp_path, tiny_ds, misfit,
+                                                                  message):
+    # the reader sizes every block by the spec, so such a file would misparse
     path = tmp_path / "d.mgts"
-    save_dataset(taller_dataset(tiny_ds, 1), path)
-    with pytest.raises(ParseError, match="^sample 1: grid is 9x8, spec says 8x8") as exc:
-        load_dataset(path)
-    raw = path.read_bytes()
-    grids = [i for i in range(len(raw)) if raw.startswith(b"MGT1", i)]
-    assert exc.value.offset == grids[1]
+    with pytest.raises(ContractError, match=message):
+        save_dataset(misfit(tiny_ds, 2), path)
+    assert not path.exists()
 
 
 def rewrite_dataset_header(path, mutate):

@@ -249,6 +249,18 @@ def test_config_round_trips_through_dict():
     assert default_branches()[0].task == "typing"
 
 
+@pytest.mark.parametrize("scale", [True, False])
+def test_attention_scale_flag_reaches_every_attention_site(scale):
+    branches = (BranchConfig(task="typing", pooling="gm", tokens=3, pool_size=4),
+                BranchConfig(task="staging", pooling="gcmincut", tokens=3, pool_size=2))
+    model = SlideGraphTransformer(small_config(branches=branches, scale_attention=scale))
+    typing, staging = model.branches["typing"], model.branches["staging"]
+    sites = [typing.pool.attn] + [
+        site for branch in (typing, staging)
+        for site in [branch.inject.attn] + [layer["attn"] for layer in branch.head.layers]]
+    assert [site.scale_scores for site in sites] == [scale] * 5
+
+
 @pytest.mark.parametrize("pools", [("drop", "gcmincut"), ("drop", "drop"),
                                    ("sag", "drop"), ("gcmincut", "gm")])
 def test_forward_reusing_an_output_equals_a_fresh_forward(pools):
